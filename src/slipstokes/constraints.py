@@ -168,7 +168,7 @@ def identity_plan(fe):
         gauge=None, guard=None, labels=())
 
 
-def apply_plan(plan, A, B, ell, symmetric=True):
+def apply_plan(plan, A, B, ell):
     """Rotate, eliminate and border the assembled blocks.
 
     Returns a :class:`SaddleSystem` over the unknowns
@@ -202,5 +202,4 @@ def apply_plan(plan, A, B, ell, symmetric=True):
     matrix.sort_indices()
     return SaddleSystem(matrix=matrix, rhs=np.concatenate(rhs),
                         n_velocity=len(f), n_pressure=plan.n_pressure,
-                        multipliers=plan.labels, symmetric=symmetric,
-                        plan=plan)
+                        multipliers=plan.labels, plan=plan)

@@ -33,7 +33,8 @@ import scipy
 from . import __version__ as _version
 from . import fem, forms
 from .constraints import apply_plan, build_dirichlet_plan
-from .errors import IncompatibleData, InvalidArgument
+from .errors import (IncompatibleData, InvalidArgument, MaxIterations,
+                     NumericalError, SingularSystem)
 from .fields import (ProblemData, disk_compatible_forcing, navier_stokes_mms,
                      stokes_mms, sweep_forcing)
 from .mesh import make_disk, make_unit_square
@@ -413,7 +414,7 @@ def run_ns_limits(cfg):
         data = ProblemData(f=base.f, F=base.F, h=base.h, alpha=float(alpha))
         try:
             sol, log = solve_navier_stokes(mesh, data, options=cfg.picard)
-        except Exception:
+        except (MaxIterations, SingularSystem, NumericalError):
             rows.append((float(alpha), np.nan, np.nan, 0, False))
             continue
         diff = sol.u - u_d
@@ -439,7 +440,7 @@ def _picard_on_plan(fe, mesh, data, plan, opts, A, B, ell):
     u = np.zeros(fe.num_velocity_dofs)
     for _ in range(opts.max_iterations):
         C = forms.assemble_convection_skew(fe, u)
-        system = apply_plan(plan, A + C, B, ell, symmetric=False)
+        system = apply_plan(plan, A + C, B, ell)
         u_new, _, _ = plan.reconstruct(factor_solve(system))
         inc = u_new - u
         inc_norm = float(np.sqrt(max(inc @ (H1 @ inc), 0.0)))
@@ -447,7 +448,6 @@ def _picard_on_plan(fe, mesh, data, plan, opts, A, B, ell):
         un = float(np.sqrt(max(u @ (H1 @ u), 0.0)))
         if inc_norm <= opts.tol * max(un, 1.0):
             return u
-    from .errors import MaxIterations
     raise MaxIterations("clamped nonlinear reference did not converge")
 
 

@@ -113,7 +113,7 @@ def solve_navier_stokes(mesh, data, options=None, quad_order=6):
     p = np.zeros(fe.num_pressure_dofs)
     for it in range(1, opts.max_iterations + 1):
         C = forms.assemble_convection_skew(fe, u, quad_order=quad_order)
-        system = apply_plan(plan, A + C, B, ell, symmetric=False)
+        system = apply_plan(plan, A + C, B, ell)
         x = factor_solve(system)
         u_new, p, _ = plan.reconstruct(x)
         if opts.damping != 1.0:
@@ -145,13 +145,13 @@ def solve_navier_stokes(mesh, data, options=None, quad_order=6):
         # One undamped polish so the returned pair solves its own
         # linearization exactly; the increment is already below tolerance.
         C = forms.assemble_convection_skew(fe, u, quad_order=quad_order)
-        system = apply_plan(plan, A + C, B, ell, symmetric=False)
+        system = apply_plan(plan, A + C, B, ell)
         x = factor_solve(system)
         u, p, _ = plan.reconstruct(x)
 
     diag = _diagnostics(fe, plan, system, x, u, p, A, ell)
     C = forms.assemble_convection_skew(fe, u, quad_order=quad_order)
-    final = apply_plan(plan, A + C, B, ell, symmetric=False)
+    final = apply_plan(plan, A + C, B, ell)
     bnorm = np.linalg.norm(final.rhs)
     diag["nonlinear_residual"] = float(
         np.linalg.norm(final.matrix @ x - final.rhs) / (bnorm if bnorm > 0 else 1.0))

@@ -107,7 +107,7 @@ def solve_stokes(mesh, data, plan=None, quad_order=6):
                 f"rotation pairing of the data is {defect:.3e} "
                 f"(relative {abs(defect) / scale:.3e}); the frictionless "
                 "disk problem needs data orthogonal to the rigid rotation")
-    system = apply_plan(plan, A, B, ell, symmetric=True)
+    system = apply_plan(plan, A, B, ell)
     x = factor_solve(system)
     u, p, _ = plan.reconstruct(x)
     diag = _diagnostics(fe, plan, system, x, u, p, A, ell)

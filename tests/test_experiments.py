@@ -162,3 +162,14 @@ class TestReports:
         cfg = ExperimentConfig(kind="uniform_bound", levels=(8,))
         report = run_experiment(cfg)
         assert report.fits["uniformity"]["max_over_min"] < 10.0
+
+
+def test_ns_limits_propagates_programming_errors(monkeypatch):
+    # Only solver failures become "not converged" rows.
+    def broken(*args, **kwargs):
+        raise TypeError("broken solver")
+
+    monkeypatch.setattr("slipstokes.experiments.solve_navier_stokes", broken)
+    cfg = ExperimentConfig(kind="ns_limits", levels=(4,), alpha_schedule=(1.0,))
+    with pytest.raises(TypeError, match="broken solver"):
+        run_experiment(cfg)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slipstokes.errors import NumericalError, SingularSystem
 from slipstokes.saddle import SaddleSystem, factor_solve
@@ -74,11 +77,43 @@ class TestFailureModes:
             factor_solve(sys)
 
     def test_pivot_tolerance_is_adjustable(self):
-        # Nearly singular but resolvable when the pivot gate is loosened.
-        K = np.diag([1.0, 1.0, 1e-14])
-        sys = SaddleSystem(matrix=sparse.csr_matrix(K), rhs=np.ones(3),
-                           n_velocity=3, n_pressure=0)
+        # Nearly singular under every diagonal scaling (equilibrated
+        # condition estimate 2.5e-15), but resolvable when the gate is
+        # loosened.
+        K = np.array([[1.0, 1.0],
+                      [1.0, 1.0 + 1e-14]])
+        sys = SaddleSystem(matrix=sparse.csr_matrix(K),
+                           rhs=np.array([1.0, 2.0]),
+                           n_velocity=2, n_pressure=0)
         with pytest.raises(SingularSystem):
             factor_solve(sys)
         x = factor_solve(sys, pivot_rtol=1e-16)
+        ref = np.linalg.solve(K, sys.rhs)
+        assert np.abs(x - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    def test_diagonal_rescaling_of_identity_solves(self):
+        # Small entries alone are not singularity: the gate equilibrates.
+        K = np.diag([1.0, 1.0, 1e-14])
+        sys = SaddleSystem(matrix=sparse.csr_matrix(K), rhs=np.ones(3),
+                           n_velocity=3, n_pressure=0)
+        x = factor_solve(sys)
         assert x[2] == pytest.approx(1e14, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       exponents=arrays(np.float64, 52, elements=st.floats(-6.0, 6.0)))
+def test_gate_is_invariant_under_diagonal_scaling(seed, exponents):
+    sys = random_spd_saddle(seed=seed)
+    x = factor_solve(sys)
+    d = 10.0 ** exponents
+    D = sparse.diags(d)
+    scaled = SaddleSystem(matrix=(D @ sys.matrix @ D).tocsr(), rhs=d * sys.rhs,
+                          n_velocity=sys.n_velocity, n_pressure=sys.n_pressure)
+    state = np.random.get_state()
+    y = factor_solve(scaled)
+    after = np.random.get_state()
+    assert state[0] == after[0] and np.array_equal(state[1], after[1])
+    assert state[2:] == after[2:]
+    assert np.abs(y - x / d).max() <= 1e-8 * np.abs(x / d).max()
+    assert np.abs(d * y - x).max() <= 1e-8 * np.abs(x).max()

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from slipstokes import (ProblemData, boundary_frames, build_constraint_plan,
-                        build_taylor_hood, disk_compatible_forcing,
-                        disk_incompatible_forcing, disk_tangential_drive,
-                        make_disk, make_unit_square, rigid_rotation,
-                        solve_stokes, stokes_mms)
+from slipstokes import (ProblemData, apply_plan, assemble_divergence,
+                        assemble_load, assemble_viscous, boundary_frames,
+                        build_constraint_plan, build_taylor_hood,
+                        disk_compatible_forcing, disk_incompatible_forcing,
+                        disk_tangential_drive, factor_solve, make_disk,
+                        make_unit_square, rigid_rotation, solve_stokes,
+                        stokes_mms, sweep_forcing)
 from slipstokes.errors import (IncompatibleData, InvalidArgument,
                                SingularSystem)
 from slipstokes.fem import velocity_error_h1, pressure_error_l2
@@ -70,11 +74,41 @@ class TestManufactured:
         assert sol.diagnostics["divergence_l2"] < 0.01 * sol.diagnostics["h1_norm"]
 
 
+class TestLargeFriction:
+    @pytest.mark.parametrize("alpha", [1e11, 1e12])
+    def test_large_friction_solves(self, alpha):
+        # The no-slip limit: the tangential trace keeps decaying like
+        # 1/alpha far past the scale where unequilibrated pivots look tiny.
+        mesh, base = make_unit_square(16), sweep_forcing()
+
+        def scaled_trace(a):
+            data = ProblemData(f=base.f, F=base.F, h=base.h, alpha=a)
+            return a * solve_stokes(mesh, data).diagnostics[
+                "boundary_tangential_l2"]
+
+        assert scaled_trace(alpha) == pytest.approx(scaled_trace(1e6), rel=0.01)
+
+
 class TestFrictionlessDisk:
     def test_unguarded_solve_refuses(self):
         data = disk_compatible_forcing(alpha=0.0)
         with pytest.raises(SingularSystem, match="compatibility_mode"):
             solve_stokes(make_disk(1), data)
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_unguarded_saddle_system_is_singular(self, level):
+        # Without the guard row the rigid rotation spans the kernel, and
+        # the factorization gate itself must say so.
+        data = disk_compatible_forcing(alpha=0.0)
+        mesh = make_disk(level)
+        fe = build_taylor_hood(mesh)
+        plan = build_constraint_plan(fe, boundary_frames(mesh), data)
+        assert plan.guard is not None
+        plan = dataclasses.replace(plan, guard=None, labels=plan.labels[:1])
+        system = apply_plan(plan, assemble_viscous(fe),
+                            assemble_divergence(fe), assemble_load(fe, data))
+        with pytest.raises(SingularSystem, match="condition estimate"):
+            factor_solve(system)
 
     def test_guarded_solve_with_compatible_data(self):
         data = disk_compatible_forcing(alpha=0.0)
