@@ -195,8 +195,11 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0, quad_order=6):
     where ``C_b`` is the largest sampled ratio |c(w; u, v)| / (|w| |u| |v|)
     in H1 over a seeded pseudo-random family of constrained triples, and
     ``C_coer`` is the coercivity constant of the bilinear form over the
-    constrained space.  S < 1 certifies a contraction; the tests use the
-    stronger S < 0.5.  Linear in the data: doubling all data doubles S.
+    constrained space.  S is an indicator, not a certificate: ``C_b`` is a
+    sampled *lower* bound on the trilinear supremum, so the true S can be
+    larger, and S < 1 only suggests the contraction regime of the
+    uniqueness theory.  The tests ask for the stronger S < 0.5.  Linear in
+    the data: doubling all data doubles S.
     """
     fe = fem.build_taylor_hood(mesh)
     frames = boundary_frames(mesh)

@@ -46,6 +46,17 @@ class SaddleSystem:
     plan: object = None
 
 
+def symmetric_lu(mat):
+    """SuperLU factors of a structurally symmetric CSC matrix.
+
+    Symmetric mode: ``MMD_AT_PLUS_A`` ordering applied to rows and columns
+    alike, static diagonal pivots (``diag_pivot_thresh=0``).  Raises
+    scipy's ``RuntimeError`` on an exactly singular factorization.
+    """
+    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
 def _equilibration(a):
     """Diagonal ``d`` with every row maximum of ``diag(d) a diag(d)`` near 1.
 
@@ -84,8 +95,8 @@ def _equilibrated_rcond(a, lu, d):
 def factor_solve(system, pivot_rtol=PIVOT_RTOL):
     """Solve a saddle system by sparse LU; deterministic for fixed input.
 
-    The factorization uses SuperLU's symmetric mode (``MMD_AT_PLUS_A``
-    ordering, ``diag_pivot_thresh=0``: static diagonal pivots).  The system
+    The factorization is ``symmetric_lu``: SuperLU's symmetric mode
+    (``MMD_AT_PLUS_A`` ordering, static diagonal pivots).  The system
     is accepted when the reciprocal 1-norm condition estimate of the
     symmetrically equilibrated ``D M D`` (see ``_equilibration``) is at
     least ``pivot_rtol``.  The estimate reuses the factors and leaves numpy's
@@ -111,8 +122,7 @@ def factor_solve(system, pivot_rtol=PIVOT_RTOL):
     a = abs(mat).tocsr()
     d = _equilibration(a)
     try:
-        lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        lu = symmetric_lu(mat)
     except RuntimeError as exc:
         raise SingularSystem(f"sparse factorization failed: {exc}") from exc
     rcond = _equilibrated_rcond(a, lu, d)

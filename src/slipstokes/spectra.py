@@ -1,8 +1,22 @@
 """Discrete spectral constants: Korn quotients, inf-sup, rotation inequalities.
 
 All eigenproblems are posed on the impermeability-constrained spaces.
-Dense symmetric solvers handle problems up to ``DENSE_LIMIT`` unknowns;
-larger ones use shift-inverted Lanczos with a deterministic start vector.
+Dense symmetric solvers handle problems up to ``DENSE_LIMIT`` unknowns.
+Larger ones use shift-inverted Lanczos (ARPACK through ``eigsh``) about
+``SIGMA`` with a deterministic start vector, and the inf-sup Schur
+complement is formed by sparse solves.
+
+Every sparse factorization here goes through ``saddle.symmetric_lu``:
+SuperLU's symmetric mode, a minimum-degree ordering of the symmetric
+pattern with static diagonal pivots.  Each factored matrix is symmetric
+positive definite (the H1 Gram matrix, or ``A - SIGMA M`` with ``A``
+positive semidefinite, ``M`` positive definite and ``SIGMA < 0``), so
+Gaussian elimination without pivoting is as stable as a Cholesky
+factorization, and its fill is that of a symmetric factorization.  The
+factors are handed to ``eigsh`` as ``OPinv``, so ARPACK never factors on
+its own.  Both rotation-moment inequalities share one factorization of
+``A - SIGMA M``; their rank-one terms enter by Sherman-Morrison.
+
 Eigenvalues below a rank-style floor (machine epsilon times problem size)
 are reported as exactly zero, which is how the disk kernel shows up: the
 interpolated rigid rotation satisfies every nodal constraint exactly, so
@@ -22,9 +36,15 @@ from .constraints import build_constraint_plan
 from .errors import InvalidArgument, SingularSystem
 from .fields import ProblemData, rigid_rotation
 from .mesh import boundary_frames
+from .saddle import symmetric_lu
 
 DENSE_LIMIT = 2000
 FLOOR_FACTOR = 100.0
+# Shift of the shift-invert Lanczos runs.  Negative, so A - SIGMA * M stays
+# positive definite even when A itself is singular (the kernel case).
+SIGMA = -0.1
+# Pressure columns per sparse solve when forming the inf-sup Schur complement.
+SCHUR_BLOCK = 64
 
 
 @dataclass
@@ -58,19 +78,35 @@ def _reduced(matrix, plan):
     return (T.T @ matrix @ T).tocsr()[f][:, f]
 
 
+def _shift_invert_smallest(A, M, solve):
+    """Eigenvalue of the pencil (A, M) nearest ``SIGMA``.
+
+    ``solve`` applies ``(A - SIGMA * M)^{-1}``; ``A`` fixes only the shape.
+    The start vector comes from a fixed seed, so numpy's global random
+    state is untouched.
+    """
+    n = A.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(n)
+    inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    vals = spla.eigsh(A, k=1, M=M.tocsc(), sigma=SIGMA, which="LM",
+                      v0=v0, OPinv=inv, return_eigenvectors=False)
+    return float(vals[0])
+
+
 def _smallest_eig(A, M, n):
-    """Smallest eigenvalue of the symmetric pencil (A, M), M positive definite."""
+    """Smallest eigenvalue of the symmetric pencil (A, M), M positive definite.
+
+    Dense up to ``DENSE_LIMIT`` unknowns.  Above it, shift-invert Lanczos
+    about ``SIGMA < 0``: ``A - SIGMA * M`` is positive definite even when
+    ``A`` is singular, so its static-pivot ``symmetric_lu`` factors are
+    stable, and the smallest eigenvalue is the one nearest the shift.
+    """
     if n <= DENSE_LIMIT:
         vals = scipy.linalg.eigh(A.toarray(), M.toarray(),
                                  eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0]), "dense"
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n)
-    # Negative shift keeps the shifted operator definite even when A itself
-    # is singular (the kernel case).
-    vals = spla.eigsh(A.tocsc(), k=1, M=M.tocsc(), sigma=-0.1,
-                      which="LM", v0=v0, return_eigenvectors=False)
-    return float(vals[0]), "shift-invert"
+    lu = symmetric_lu((A - SIGMA * M).tocsc())
+    return _shift_invert_smallest(A, M, lu.solve), "shift-invert"
 
 
 def korn_quotient_min(mesh, alpha=0.0, include_boundary_term=False):
@@ -104,7 +140,14 @@ def korn_quotient_min(mesh, alpha=0.0, include_boundary_term=False):
 
 
 def _divergence_schur(mesh, dense):
-    """Schur complement S = B K^{-1} B^T with K the constrained H1 Gram."""
+    """Schur complement S = B K^{-1} B^T with K the constrained H1 Gram.
+
+    ``K`` is symmetric positive definite.  The sparse path factors it once
+    with ``symmetric_lu`` and forms ``S`` in blocks of ``SCHUR_BLOCK``
+    pressure columns, so the velocity-by-pressure solution ``K^{-1} B^T``
+    is never held whole.  The dense path (the ``cross_check`` oracle)
+    solves with a dense Cholesky factorization.
+    """
     fe = fem.build_taylor_hood(mesh)
     frames = boundary_frames(mesh)
     plan = build_constraint_plan(fe, frames, ProblemData(alpha=1.0))
@@ -112,13 +155,14 @@ def _divergence_schur(mesh, dense):
     T = plan.rotation
     B = (forms.assemble_divergence(fe) @ T).tocsr()[:, plan.free]
     Mp = forms.assemble_pressure_mass(fe)
-    Bt = B.T.toarray()
+    Bt = B.T.toarray(order="F")
     if dense:
         X = scipy.linalg.solve(K.toarray(), Bt, assume_a="pos")
+        S = B @ X
     else:
-        lu = spla.splu(K.tocsc())
-        X = lu.solve(Bt)
-    S = B @ X
+        lu = symmetric_lu(K.tocsc())
+        S = np.hstack([B @ lu.solve(Bt[:, j:j + SCHUR_BLOCK])
+                       for j in range(0, Bt.shape[1], SCHUR_BLOCK)])
     return np.asarray(S), Mp.toarray(), K.shape[0], fe
 
 
@@ -151,17 +195,18 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False):
                           floor=floor, detail=detail)
 
 
-def _rank_one_smallest(A, g, M, n):
-    """Smallest eigenvalue of (A + g g^T, M) without densifying the rank-1 term."""
-    if n <= DENSE_LIMIT:
+def _rank_one_smallest(A, g, M, lu):
+    """Smallest eigenvalue of (A + g g^T, M) without densifying the rank-1 term.
+
+    ``lu`` factors ``A - SIGMA * M`` for the shift-invert path; ``None``
+    selects the dense solver.
+    """
+    if lu is None:
         dense = A.toarray() + np.outer(g, g)
         vals = scipy.linalg.eigh(dense, M.toarray(), eigvals_only=True,
                                  subset_by_index=[0, 0])
         return float(vals[0]), "dense"
-    sigma = -0.1
-    base = (A - sigma * M).tocsc()
-    lu = spla.splu(base)
-    # Sherman-Morrison inverse of (base + g g^T)
+    # Sherman-Morrison inverse of (A - SIGMA * M + g g^T)
     w = lu.solve(g)
     denom = 1.0 + g @ w
 
@@ -169,12 +214,7 @@ def _rank_one_smallest(A, g, M, n):
         y = lu.solve(x)
         return y - w * (g @ y) / denom
 
-    inv = spla.LinearOperator((n, n), matvec=op)
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n)
-    vals = spla.eigsh(A.tocsc(), k=1, M=M.tocsc(), sigma=sigma, which="LM",
-                      v0=v0, OPinv=inv, return_eigenvectors=False)
-    return float(vals[0]), "shift-invert"
+    return _shift_invert_smallest(A, M, op), "shift-invert"
 
 
 def beta_inequality_checks(mesh):
@@ -206,9 +246,13 @@ def beta_inequality_checks(mesh):
     g_vol = (T.T @ (mass @ beta_coeffs))[f]
     g_bnd = (T.T @ forms.boundary_rotation_functional(fe))[f]
 
+    # One factorization of the shifted operator serves both functionals.
+    lu = None
+    if n > DENSE_LIMIT:
+        lu = symmetric_lu((A_half - SIGMA * M_l2).tocsc())
     reports = {}
     for name, g in (("volume", g_vol), ("boundary", g_bnd)):
-        lam, method = _rank_one_smallest(A_half, g, M_l2, n)
+        lam, method = _rank_one_smallest(A_half, g, M_l2, lu)
         floor = _zero_floor(n)
         constant = 0.0 if lam < floor else float(lam)
         reports[name] = SpectralReport(

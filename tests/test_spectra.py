@@ -1,9 +1,28 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from slipstokes import (beta_inequality_checks, infsup_constant,
-                        korn_quotient_min, make_disk, make_unit_square)
+                        korn_quotient_min, make_disk, make_unit_square, spectra)
 from slipstokes.errors import InvalidArgument
+from slipstokes.saddle import symmetric_lu
+
+
+def _mesh(domain, level):
+    return make_disk(level) if domain == "disk" else make_unit_square(level)
+
+
+def _same_random_state(a, b):
+    return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
+
+
+def _counting_lu(calls):
+    def wrapper(mat):
+        calls.append(mat.shape)
+        return symmetric_lu(mat)
+    return wrapper
 
 
 class TestKorn:
@@ -63,6 +82,20 @@ class TestInfSup:
         rep = infsup_constant(make_unit_square(4), cross_check=True)
         assert abs(rep.detail["dense_oracle"] - rep.constant) <= 1e-8
 
+    @pytest.mark.parametrize("domain,level", [("square", 8), ("disk", 3)])
+    def test_blocked_schur_matches_dense(self, domain, level):
+        # More pressure unknowns than one block, and not a multiple of it,
+        # so the block loop runs several times and ends on a partial block.
+        mesh = _mesh(domain, level)
+        n_p = mesh.num_vertices
+        assert n_p > spectra.SCHUR_BLOCK and n_p % spectra.SCHUR_BLOCK
+        S, _, _, _ = spectra._divergence_schur(mesh, dense=False)
+        S_dense, _, _, _ = spectra._divergence_schur(mesh, dense=True)
+        assert np.abs(S - S_dense).max() <= 1e-12 * np.abs(S_dense).max()
+        rep = infsup_constant(mesh, cross_check=True)
+        assert abs(rep.detail["dense_oracle"] - rep.constant) <= 1e-10 * rep.constant
+        assert rep.detail["zero_modes"] == 1
+
     def test_disk_also_stable(self):
         c1 = infsup_constant(make_disk(1)).constant
         c2 = infsup_constant(make_disk(2)).constant
@@ -90,3 +123,67 @@ class TestBetaInequalities:
         rep = beta_inequality_checks(make_disk(1))["volume"]
         assert rep.detail["optimal_inequality_constant"] == pytest.approx(
             1.0 / rep.constant, rel=1e-12)
+
+
+class TestShiftInvertPaths:
+    """The shift-invert solvers against the dense ones on the same meshes."""
+
+    @pytest.mark.parametrize("friction", [False, True])
+    @pytest.mark.parametrize("domain,level", [("square", 8), ("disk", 2), ("disk", 3)])
+    def test_korn_matches_dense(self, monkeypatch, domain, level, friction):
+        mesh = _mesh(domain, level)
+        kwargs = {"alpha": 1.0 if friction else 0.0,
+                  "include_boundary_term": friction}
+        dense = korn_quotient_min(mesh, **kwargs)
+        monkeypatch.setattr(spectra, "DENSE_LIMIT", 0)
+        state = np.random.get_state()
+        rep = korn_quotient_min(mesh, **kwargs)
+        assert _same_random_state(state, np.random.get_state())
+        assert (dense.method, rep.method) == ("dense", "shift-invert")
+        if domain == "disk" and not friction:
+            assert dense.constant == 0.0
+            assert rep.constant == 0.0
+            assert rep.detail["raw_eigenvalue"] < rep.floor
+        else:
+            assert abs(rep.constant - dense.constant) <= 1e-10 * dense.constant
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_beta_matches_dense(self, monkeypatch, level):
+        mesh = make_disk(level)
+        dense = beta_inequality_checks(mesh)
+        monkeypatch.setattr(spectra, "DENSE_LIMIT", 0)
+        state = np.random.get_state()
+        reports = beta_inequality_checks(mesh)
+        assert _same_random_state(state, np.random.get_state())
+        for name in ("volume", "boundary"):
+            assert reports[name].method == "shift-invert"
+            expected = dense[name].constant
+            assert abs(reports[name].constant - expected) <= 1e-10 * expected
+
+
+class TestFactorizations:
+    """Every sparse factorization goes through ``symmetric_lu``, once per operator."""
+
+    def test_beta_factors_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectra, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(spectra, "symmetric_lu", _counting_lu(calls))
+        reports = beta_inequality_checks(make_disk(3))
+        assert reports["volume"].method == "shift-invert"
+        assert len(calls) == 1
+
+    def test_korn_and_infsup_factor_once_each(self, monkeypatch):
+        # ARPACK must not factor the shifted matrix itself: its own splu
+        # binding refuses to run.
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigsh factored internally")
+
+        calls = []
+        monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", refuse)
+        monkeypatch.setattr(spectra, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(spectra, "symmetric_lu", _counting_lu(calls))
+        mesh = make_disk(2)
+        assert korn_quotient_min(mesh).method == "shift-invert"
+        assert len(calls) == 1
+        infsup_constant(mesh)
+        assert len(calls) == 2
