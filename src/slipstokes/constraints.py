@@ -16,6 +16,7 @@ import scipy.sparse as sparse
 from . import fem, forms
 from .errors import InvalidArgument
 from .fields import sample_alpha
+from .mesh import boundary_frames
 from .saddle import SaddleSystem
 
 ALPHA_ZERO_TOL = 1e-14
@@ -99,13 +100,14 @@ def _rotation_matrix(fe, frames):
     return T
 
 
-def build_constraint_plan(fe, frames, data, quad_order=4):
-    """Construct the constraint plan for one problem.
+def build_constraint_plan(fe, data, quad_order=4):
+    """Construct the constraint plan for one problem on ``fe``'s mesh.
 
     The guard row activates exactly when the domain is the disk and every
     friction sample on the boundary is at most 1e-14 in magnitude.
     """
     mesh = fe.mesh
+    frames = boundary_frames(mesh)
     n = fe.num_velocity_nodes
     rule = fem.quadrature(quad_order)
     pts = fe.boundary_quad_coords(rule)
@@ -157,17 +159,6 @@ def build_dirichlet_plan(fe):
         guard=None, alpha_is_zero=False, labels=("pressure_gauge",))
 
 
-def identity_plan(fe):
-    """No constraints at all; useful for testing the reduction machinery."""
-    n = fe.num_velocity_nodes
-    return ConstraintPlan(
-        n_velocity=2 * n, n_pressure=fe.num_pressure_dofs,
-        rotation=sparse.identity(2 * n, format="csr"),
-        eliminated=np.array([], dtype=np.int64),
-        free=np.arange(2 * n, dtype=np.int64),
-        gauge=None, guard=None, labels=())
-
-
 def apply_plan(plan, A, B, ell):
     """Rotate, eliminate and border the assembled blocks.
 
@@ -202,4 +193,4 @@ def apply_plan(plan, A, B, ell):
     matrix.sort_indices()
     return SaddleSystem(matrix=matrix, rhs=np.concatenate(rhs),
                         n_velocity=len(f), n_pressure=plan.n_pressure,
-                        multipliers=plan.labels, plan=plan)
+                        multipliers=plan.labels)

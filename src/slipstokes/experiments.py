@@ -11,7 +11,7 @@ Experiment kinds
 ``ns_mms``            nonlinear manufactured-solution convergence
 ``ns_limits``         nonlinear friction sweep with convergence bookkeeping
 
-Reports are deterministic given (config, seed): rows are plain floats
+Reports are deterministic given the config: rows are plain floats
 formatted with 17 significant digits, and the CSV writer emits LF line
 endings unconditionally.  Rate fits drop pre-asymptotic points by a fixed
 stored rule (values above 0.3 times the first value) and always use at
@@ -32,14 +32,13 @@ import scipy
 
 from . import __version__ as _version
 from . import fem, forms
-from .constraints import apply_plan, build_dirichlet_plan
+from .constraints import build_dirichlet_plan
 from .errors import (IncompatibleData, InvalidArgument, MaxIterations,
                      NumericalError, SingularSystem)
 from .fields import (ProblemData, disk_compatible_forcing, navier_stokes_mms,
                      stokes_mms, sweep_forcing)
 from .mesh import make_disk, make_unit_square
 from .navierstokes import PicardOptions, solve_navier_stokes
-from .saddle import factor_solve
 from .spectra import infsup_constant, korn_quotient_min
 from .stokes import check_compatibility, solve_stokes
 from .fem import pressure_error_l2, velocity_error_h1
@@ -59,10 +58,8 @@ class ExperimentConfig:
     levels: tuple = (8, 16, 32)
     radius: float = 1.0
     alpha: float = 1.0
-    alpha_star: float = 0.0
     alpha_schedule: tuple = ()
     data: str = "default"
-    seed: int = 0
     threads: int = 1
     amplitude: float | None = None
     picard: PicardOptions = field(default_factory=PicardOptions)
@@ -80,7 +77,7 @@ class ExperimentConfig:
             raise InvalidArgument("levels must be strictly increasing")
         if self.threads < 1:
             raise InvalidArgument("threads must be at least 1")
-        if self.alpha < 0 or self.alpha_star < 0:
+        if self.alpha < 0:
             raise InvalidArgument("friction values must be nonnegative")
         return self
 
@@ -187,10 +184,10 @@ def run_mms(cfg):
     for level in cfg.levels:
         t0 = time.perf_counter()
         mesh = _make_mesh(cfg, level)
-        fe = fem.build_taylor_hood(mesh)
         sol = solve_stokes(mesh, case["data"])
-        _, err_h1 = velocity_error_h1(fe, sol.u, case["u"].value, case["u"].grad)
-        err_p = pressure_error_l2(fe, sol.p, case["p"])
+        _, err_h1 = velocity_error_h1(sol.fe, sol.u, case["u"].value,
+                                      case["u"].grad)
+        err_p = pressure_error_l2(sol.fe, sol.p, case["p"])
         wall[f"level_{level}"] = time.perf_counter() - t0
         rows.append((level, mesh.mesh_size(), err_h1, err_p,
                      sol.diagnostics["energy_residual"]))
@@ -256,12 +253,7 @@ def run_alpha_to_infinity(cfg):
     schedule = cfg.alpha_schedule or tuple(10.0 ** k for k in range(7))
 
     t0 = time.perf_counter()
-    plan_d = build_dirichlet_plan(fe)
-    A = forms.assemble_viscous(fe)
-    B = forms.assemble_divergence(fe)
-    ell = forms.assemble_load(fe, base)
-    system = apply_plan(plan_d, A, B, ell)
-    ud, pd, _ = plan_d.reconstruct(factor_solve(system))
+    ud = solve_stokes(mesh, base, plan=build_dirichlet_plan(fe)).u
     ud_norm = float(np.sqrt(max(ud @ (H1 @ ud), 0.0)))
     wall["dirichlet_reference"] = time.perf_counter() - t0
 
@@ -329,9 +321,9 @@ def run_compat_disk(cfg):
         if abs(defect) > COMPAT_TOL:
             raise IncompatibleData(
                 f"compatibility defect {defect:.3e} exceeds {COMPAT_TOL:.1e}")
-        fe = fem.build_taylor_hood(mesh)
         sol = solve_stokes(mesh, data)
-        circulation = abs(float(forms.boundary_rotation_functional(fe) @ sol.u))
+        circulation = abs(float(
+            forms.boundary_rotation_functional(sol.fe) @ sol.u))
         wall[f"level_{level}"] = time.perf_counter() - t0
         rows.append((level, mesh.mesh_size(), defect, circulation,
                      sol.diagnostics["h1_norm"]))
@@ -371,10 +363,10 @@ def run_ns_mms(cfg):
     for level in cfg.levels:
         t0 = time.perf_counter()
         mesh = _make_mesh(cfg, level)
-        fe = fem.build_taylor_hood(mesh)
         sol, log = solve_navier_stokes(mesh, case["data"], options=cfg.picard)
-        _, err_h1 = velocity_error_h1(fe, sol.u, case["u"].value, case["u"].grad)
-        err_p = pressure_error_l2(fe, sol.p, case["p"])
+        _, err_h1 = velocity_error_h1(sol.fe, sol.u, case["u"].value,
+                                      case["u"].grad)
+        err_p = pressure_error_l2(sol.fe, sol.p, case["p"])
         wall[f"level_{level}"] = time.perf_counter() - t0
         rows.append((level, mesh.mesh_size(), err_h1, err_p,
                      len(log.rows), sol.diagnostics["energy_residual"]))
@@ -398,12 +390,8 @@ def run_ns_limits(cfg):
     schedule = cfg.alpha_schedule or tuple(10.0 ** k for k in range(7))
 
     t0 = time.perf_counter()
-    plan_d = build_dirichlet_plan(fe)
-    A = forms.assemble_viscous(fe)
-    B = forms.assemble_divergence(fe)
-    ell = forms.assemble_load(fe, base)
-    # Clamped nonlinear reference via the same Picard loop on the clamped plan.
-    u_d = _picard_on_plan(fe, mesh, base, plan_d, cfg.picard, A, B, ell)
+    u_d = solve_navier_stokes(mesh, base, options=cfg.picard,
+                              plan=build_dirichlet_plan(fe))[0].u
     ud_norm = float(np.sqrt(max(u_d @ (H1 @ u_d), 0.0)))
     wall["dirichlet_reference"] = time.perf_counter() - t0
 
@@ -432,23 +420,6 @@ def run_ns_limits(cfg):
     return _report(cfg, ("alpha", "error_h1_vs_dirichlet",
                          "boundary_tangential_l2", "iterations", "converged"),
                    rows, fits, wall)
-
-
-def _picard_on_plan(fe, mesh, data, plan, opts, A, B, ell):
-    """Minimal Picard loop on an externally supplied constraint plan."""
-    H1 = forms.assemble_velocity_h1(fe)
-    u = np.zeros(fe.num_velocity_dofs)
-    for _ in range(opts.max_iterations):
-        C = forms.assemble_convection_skew(fe, u)
-        system = apply_plan(plan, A + C, B, ell)
-        u_new, _, _ = plan.reconstruct(factor_solve(system))
-        inc = u_new - u
-        inc_norm = float(np.sqrt(max(inc @ (H1 @ inc), 0.0)))
-        u = u_new
-        un = float(np.sqrt(max(u @ (H1 @ u), 0.0)))
-        if inc_norm <= opts.tol * max(un, 1.0):
-            return u
-    raise MaxIterations("clamped nonlinear reference did not converge")
 
 
 _RUNNERS = {
@@ -516,10 +487,8 @@ def parse_config(path, kind=None):
         ("data", "selector"): lambda v: setattr(cfg, "data", v),
         ("data", "amplitude"): lambda v: setattr(cfg, "amplitude", float(v)),
         ("alpha", "value"): lambda v: setattr(cfg, "alpha", float(v)),
-        ("alpha", "star"): lambda v: setattr(cfg, "alpha_star", float(v)),
         ("alpha", "schedule"): lambda v: setattr(
             cfg, "alpha_schedule", tuple(float(s) for s in v.split(","))),
-        ("solver", "seed"): lambda v: setattr(cfg, "seed", int(v)),
         ("solver", "threads"): lambda v: setattr(cfg, "threads", int(v)),
         ("solver", "max_iterations"): lambda v: setattr(
             cfg.picard, "max_iterations", int(v)),

@@ -12,6 +12,8 @@ with Gauss-Legendre rules on the unit segment of matching polynomial
 exactness (orders 2, 4 and 6).
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +122,8 @@ class FeSystem:
 
     Built by :func:`build_taylor_hood`; holds the edge enumeration, per
     triangle DOF maps and affine element geometry that the assembly and
-    evaluation routines share.
+    evaluation routines share.  Every caller on one mesh shares one
+    instance, so nothing may write to its arrays.
     """
 
     def __init__(self, mesh):
@@ -174,9 +177,6 @@ class FeSystem:
         self.boundary_mid_nodes = nv + self.boundary_edge_ids
         self._grad_cache = {}
 
-    def dof(self, component, node):
-        return component * self.num_velocity_nodes + node
-
     def physical_grads(self, rule):
         """Physical P2 gradients per element: array (nq, nt, 6, 2), cached."""
         key = rule.order
@@ -206,9 +206,25 @@ class FeSystem:
         return np.column_stack([mesh.boundary_edges, self.boundary_mid_nodes])
 
 
+# Live systems by mesh.  Meshes are immutable and hash by identity; the
+# entry goes when its system's last holder lets go, and the mesh never
+# refers back to its system, so no reference cycle keeps either alive.
+_LIVE = weakref.WeakValueDictionary()
+_LIVE_LOCK = threading.Lock()
+
+
 def build_taylor_hood(mesh):
-    """Enumerate the P2/P1 Taylor-Hood system on a mesh."""
-    return FeSystem(mesh)
+    """The P2/P1 Taylor-Hood system of a mesh, shared while anyone holds it.
+
+    Returns the live :class:`FeSystem` of ``mesh`` when one exists, so
+    every caller on one mesh shares its tables and per-rule gradients;
+    otherwise enumerates a new one.  No assembled matrix is kept.
+    """
+    with _LIVE_LOCK:
+        fe = _LIVE.get(mesh)
+        if fe is None:
+            fe = _LIVE[mesh] = FeSystem(mesh)
+        return fe
 
 
 def split_components(fe, coeffs):

@@ -53,9 +53,6 @@ class ProblemData:
     alpha : float, callable ``(k,2)->(k,)``, or dict marker -> (float|callable)
         Friction coefficient sampled at boundary quadrature points;
         samples must be nonnegative.
-    alpha_star : float
-        Asserted lower bound for alpha on the boundary (used only for
-        reporting which estimate regime applies).
     compatibility_mode : bool
         Allows solving on the rotationally symmetric disk with vanishing
         friction by adding the rotation-moment gauge.
@@ -65,7 +62,6 @@ class ProblemData:
     F: Any = None
     h: Any = None
     alpha: Any = 0.0
-    alpha_star: float = 0.0
     compatibility_mode: bool = False
 
 
@@ -205,8 +201,7 @@ def stokes_mms(alpha=1.0, amplitude=1.0):
             -A * PI * (2.0 * PI ** 2 + 1.0) * np.cos(PI * x) * np.sin(PI * y),
         ])
 
-    data = ProblemData(f=f, h=traction_boundary_field(u, alpha), alpha=alpha,
-                       alpha_star=alpha if np.isscalar(alpha) else 0.0)
+    data = ProblemData(f=f, h=traction_boundary_field(u, alpha), alpha=alpha)
     return {"u": u, "p": pressure, "data": data, "amplitude": A}
 
 
@@ -226,8 +221,7 @@ def navier_stokes_mms(alpha=1.0, amplitude=0.15):
             np.sin(2.0 * PI * x), np.sin(2.0 * PI * y)])
         return f_stokes(p) + conv
 
-    data = ProblemData(f=f, h=base["data"].h, alpha=alpha,
-                       alpha_star=base["data"].alpha_star)
+    data = ProblemData(f=f, h=base["data"].h, alpha=alpha)
     return {"u": base["u"], "p": base["p"], "data": data, "amplitude": A}
 
 
@@ -245,7 +239,7 @@ def disk_tangential_drive(alpha=2.0):
         return (alpha * bt)[:, None] * t
 
     return {"u": beta, "p": lambda p: np.zeros(p.shape[0]),
-            "data": ProblemData(h=h, alpha=alpha, alpha_star=alpha)}
+            "data": ProblemData(h=h, alpha=alpha)}
 
 
 def disk_compatible_forcing(alpha=1.0):
@@ -255,7 +249,7 @@ def disk_compatible_forcing(alpha=1.0):
     compatibility defect vanishes (to quadrature roundoff) and the solution
     carries no net boundary circulation in the limit.
     """
-    return ProblemData(f=np.array([1.0, 0.0]), alpha=alpha, alpha_star=alpha)
+    return ProblemData(f=np.array([1.0, 0.0]), alpha=alpha)
 
 
 def disk_incompatible_forcing(alpha=0.0):

@@ -21,7 +21,7 @@ from .errors import InvalidArgument, NumericalError
 from .fields import eval_boundary_field, sample_alpha
 
 
-def _scatter(fe, rows, cols, data, shape):
+def _scatter(rows, cols, data, shape):
     mat = sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
                             shape=shape).tocsr()
     mat.sum_duplicates()
@@ -33,6 +33,15 @@ def _vector_dofs(fe):
     """Per-triangle velocity dof list, x components then y, shape (nt, 12)."""
     n = fe.num_velocity_nodes
     return np.hstack([fe.tri_vnodes, fe.tri_vnodes + n])
+
+
+def _scatter_vector_block(fe, local):
+    """Sum per-triangle (12, 12) velocity blocks into a (2N, 2N) CSR matrix."""
+    dofs = _vector_dofs(fe)
+    n = fe.num_velocity_dofs
+    return _scatter(dofs[:, :, None] * np.ones((1, 1, 12), dtype=np.int64),
+                    dofs[:, None, :] * np.ones((1, 12, 1), dtype=np.int64),
+                    local, (n, n))
 
 
 def assemble_viscous(fe, quad_order=4):
@@ -49,11 +58,7 @@ def assemble_viscous(fe, quad_order=4):
     # row = test (0, phi_i), col = trial (phi_j, 0): int d1(phi_i) d2(phi_j)
     kyx = np.einsum("qt,qti,qtj->tij", w, gx, gy)
     local = np.block([[kxx, np.swapaxes(kyx, 1, 2)], [kyx, kyy]])
-    dofs = _vector_dofs(fe)
-    n = fe.num_velocity_dofs
-    return _scatter(fe, dofs[:, :, None] * np.ones((1, 1, 12), dtype=np.int64),
-                    dofs[:, None, :] * np.ones((1, 12, 1), dtype=np.int64),
-                    local, (n, n))
+    return _scatter_vector_block(fe, local)
 
 
 def assemble_velocity_mass(fe, quad_order=4):
@@ -64,11 +69,7 @@ def assemble_velocity_mass(fe, quad_order=4):
     m = np.einsum("qt,qi,qj->tij", w, vals, vals)
     z = np.zeros_like(m)
     local = np.block([[m, z], [z, m]])
-    dofs = _vector_dofs(fe)
-    n = fe.num_velocity_dofs
-    return _scatter(fe, dofs[:, :, None] * np.ones((1, 1, 12), dtype=np.int64),
-                    dofs[:, None, :] * np.ones((1, 12, 1), dtype=np.int64),
-                    local, (n, n))
+    return _scatter_vector_block(fe, local)
 
 
 def assemble_velocity_h1(fe, quad_order=4):
@@ -82,11 +83,7 @@ def assemble_velocity_h1(fe, quad_order=4):
     blk = m + k
     z = np.zeros_like(blk)
     local = np.block([[blk, z], [z, blk]])
-    dofs = _vector_dofs(fe)
-    n = fe.num_velocity_dofs
-    return _scatter(fe, dofs[:, :, None] * np.ones((1, 1, 12), dtype=np.int64),
-                    dofs[:, None, :] * np.ones((1, 12, 1), dtype=np.int64),
-                    local, (n, n))
+    return _scatter_vector_block(fe, local)
 
 
 def assemble_pressure_mass(fe, quad_order=4):
@@ -96,7 +93,7 @@ def assemble_pressure_mass(fe, quad_order=4):
     local = np.einsum("qt,qi,qj->tij", w, vals, vals)
     dofs = fe.tri_pnodes
     n = fe.num_pressure_dofs
-    return _scatter(fe, dofs[:, :, None] * np.ones((1, 1, 3), dtype=np.int64),
+    return _scatter(dofs[:, :, None] * np.ones((1, 1, 3), dtype=np.int64),
                     dofs[:, None, :] * np.ones((1, 3, 1), dtype=np.int64),
                     local, (n, n))
 
@@ -124,7 +121,7 @@ def assemble_friction(fe, alpha, quad_order=4):
             rows.append(np.broadcast_to((tn + a * nvn)[:, :, None], block.shape))
             cols.append(np.broadcast_to((tn + b * nvn)[:, None, :], block.shape))
             data.append(block)
-    return _scatter(fe, np.concatenate([r.ravel() for r in rows]),
+    return _scatter(np.concatenate([r.ravel() for r in rows]),
                     np.concatenate([c.ravel() for c in cols]),
                     np.concatenate([d.ravel() for d in data]), (n, n))
 
@@ -144,7 +141,7 @@ def assemble_divergence(fe, quad_order=4):
     local = np.concatenate([bx, by], axis=2)                    # (nt, 3, 12)
     prow = fe.tri_pnodes[:, :, None] * np.ones((1, 1, 12), dtype=np.int64)
     vcol = _vector_dofs(fe)[:, None, :] * np.ones((1, 3, 1), dtype=np.int64)
-    return _scatter(fe, prow, vcol, local,
+    return _scatter(prow, vcol, local,
                     (fe.num_pressure_dofs, fe.num_velocity_dofs))
 
 
@@ -220,11 +217,7 @@ def assemble_convection_skew(fe, w_coeffs, quad_order=6):
     s = np.einsum("qt,qi,qtj->tij", wq, vals, adv)      # (nt, 6, 6)
     z = np.zeros_like(s)
     local = np.block([[s, z], [z, s]])
-    dofs = _vector_dofs(fe)
-    n = fe.num_velocity_dofs
-    raw = _scatter(fe, dofs[:, :, None] * np.ones((1, 1, 12), dtype=np.int64),
-                   dofs[:, None, :] * np.ones((1, 12, 1), dtype=np.int64),
-                   local, (n, n))
+    raw = _scatter_vector_block(fe, local)
     skew = 0.5 * (raw - raw.T).tocsr()
     skew.sort_indices()
     return skew

@@ -17,7 +17,6 @@ from . import fem, forms
 from .constraints import apply_plan, build_constraint_plan
 from .errors import InvalidArgument, MaxIterations, NumericalError
 from .fields import rigid_rotation
-from .mesh import boundary_frames
 from .saddle import factor_solve
 from .spectra import korn_quotient_min
 from .stokes import Solution, _diagnostics, solve_stokes
@@ -69,10 +68,12 @@ class IterationLog:
         return buf.getvalue()
 
 
-def solve_navier_stokes(mesh, data, options=None, quad_order=6):
+def solve_navier_stokes(mesh, data, options=None, plan=None, quad_order=6):
     """Damped Picard iteration for the stationary Navier-Stokes system.
 
-    Returns ``(Solution, IterationLog)``.  Raises ``MaxIterations`` when the
+    ``plan`` replaces the slip constraints, as in :func:`solve_stokes`;
+    ``build_dirichlet_plan`` gives the clamped (no-slip) problem.  Returns
+    ``(Solution, IterationLog)``.  Raises ``MaxIterations`` when the
     increment fails to meet tolerance within the budget or grows by the
     divergence factor, which is the signature of data outside the
     contraction regime.
@@ -80,8 +81,8 @@ def solve_navier_stokes(mesh, data, options=None, quad_order=6):
     opts = options or PicardOptions()
     opts.validate()
     fe = fem.build_taylor_hood(mesh)
-    frames = boundary_frames(mesh)
-    plan = build_constraint_plan(fe, frames, data)
+    if plan is None:
+        plan = build_constraint_plan(fe, data)
     if plan.guard is not None:
         raise InvalidArgument(
             "nonlinear solves require friction somewhere on the boundary "
@@ -202,8 +203,7 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0, quad_order=6):
     the data: doubling all data doubles S.
     """
     fe = fem.build_taylor_hood(mesh)
-    frames = boundary_frames(mesh)
-    plan = build_constraint_plan(fe, frames, data)
+    plan = build_constraint_plan(fe, data)
     H1 = forms.assemble_velocity_h1(fe)
 
     def h1_norm(vec):

@@ -43,7 +43,6 @@ class SaddleSystem:
     n_velocity: int
     n_pressure: int
     multipliers: tuple = ()
-    plan: object = None
 
 
 def symmetric_lu(mat):

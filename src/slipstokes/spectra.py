@@ -35,7 +35,6 @@ from . import fem, forms
 from .constraints import build_constraint_plan
 from .errors import InvalidArgument, SingularSystem
 from .fields import ProblemData, rigid_rotation
-from .mesh import boundary_frames
 from .saddle import symmetric_lu
 
 DENSE_LIMIT = 2000
@@ -119,9 +118,7 @@ def korn_quotient_min(mesh, alpha=0.0, include_boundary_term=False):
     Values below the rank floor are reported as exactly 0.
     """
     fe = fem.build_taylor_hood(mesh)
-    frames = boundary_frames(mesh)
-    data = ProblemData(alpha=alpha)
-    plan = build_constraint_plan(fe, frames, data)
+    plan = build_constraint_plan(fe, ProblemData(alpha=alpha))
     A = forms.assemble_viscous(fe)
     if include_boundary_term:
         A = A + forms.assemble_friction(fe, alpha)
@@ -149,8 +146,7 @@ def _divergence_schur(mesh, dense):
     solves with a dense Cholesky factorization.
     """
     fe = fem.build_taylor_hood(mesh)
-    frames = boundary_frames(mesh)
-    plan = build_constraint_plan(fe, frames, ProblemData(alpha=1.0))
+    plan = build_constraint_plan(fe, ProblemData(alpha=1.0))
     K = _reduced(forms.assemble_velocity_h1(fe), plan)
     T = plan.rotation
     B = (forms.assemble_divergence(fe) @ T).tocsr()[:, plan.free]
@@ -232,8 +228,7 @@ def beta_inequality_checks(mesh):
     if mesh.domain_tag != "disk":
         raise InvalidArgument("rotation-moment inequalities are disk statements")
     fe = fem.build_taylor_hood(mesh)
-    frames = boundary_frames(mesh)
-    plan = build_constraint_plan(fe, frames, ProblemData(alpha=0.0))
+    plan = build_constraint_plan(fe, ProblemData(alpha=0.0))
     T = plan.rotation
     f = plan.free
     A_half = 0.5 * _reduced(forms.assemble_viscous(fe), plan)

@@ -21,7 +21,6 @@ from .errors import (IncompatibleData, InvalidArgument, NumericalError,
                      SingularSystem)
 from .fem import interpolate
 from .fields import rigid_rotation
-from .mesh import boundary_frames
 from .saddle import factor_solve
 
 ENERGY_RTOL = 1e-8
@@ -86,8 +85,7 @@ def solve_stokes(mesh, data, plan=None, quad_order=6):
     """
     fe = fem.build_taylor_hood(mesh)
     if plan is None:
-        frames = boundary_frames(mesh)
-        plan = build_constraint_plan(fe, frames, data)
+        plan = build_constraint_plan(fe, data)
     if plan.guard is not None and not data.compatibility_mode:
         raise SingularSystem(
             "disk with vanishing friction: the rigid rotation spans the kernel; "

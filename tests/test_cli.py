@@ -115,6 +115,19 @@ class TestExperimentCommand:
         assert code == 0
         assert (tmp_path / "out" / "report.csv").exists()
 
+    @pytest.mark.parametrize("section, key", [("solver", "seed"),
+                                              ("alpha", "star")])
+    def test_removed_config_keys_exit_2(self, capsys, tmp_path, section, key):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[domain]\nlevels = 4,8,16\n[{section}]\n{key} = 7\n")
+        code, _, err = run(capsys, "experiment", "mms", "--config", str(ini))
+        assert code == 2
+        assert "unknown config key" in err
+
+    def test_seed_flag_exits_2(self, capsys):
+        code, _, _ = run(capsys, "experiment", "mms", "--seed", "3")
+        assert code == 2
+
     def test_missing_config_exits_2(self, capsys):
         code, _, _ = run(capsys, "experiment", "mms",
                          "--config", "/nope/run.ini")

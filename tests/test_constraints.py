@@ -5,15 +5,14 @@ import scipy.sparse as sparse
 from slipstokes import (ProblemData, boundary_frames, build_constraint_plan,
                         build_dirichlet_plan, build_taylor_hood, interpolate,
                         make_disk, make_unit_square)
-from slipstokes.constraints import apply_plan, identity_plan
+from slipstokes.constraints import ConstraintPlan, apply_plan
 from slipstokes import forms
 
 
 def setup(mesh, alpha=1.0, compatibility_mode=False):
     fe = build_taylor_hood(mesh)
-    frames = boundary_frames(mesh)
     data = ProblemData(alpha=alpha, compatibility_mode=compatibility_mode)
-    return fe, frames, build_constraint_plan(fe, frames, data)
+    return fe, boundary_frames(mesh), build_constraint_plan(fe, data)
 
 
 class TestPlanGeometry:
@@ -131,7 +130,12 @@ class TestApplyPlan:
     def test_identity_plan_is_plain_bordering(self):
         mesh = make_unit_square(2)
         fe = build_taylor_hood(mesh)
-        plan = identity_plan(fe)
+        n = fe.num_velocity_dofs
+        plan = ConstraintPlan(
+            n_velocity=n, n_pressure=fe.num_pressure_dofs,
+            rotation=sparse.identity(n, format="csr"),
+            eliminated=np.array([], dtype=np.int64),
+            free=np.arange(n, dtype=np.int64))
         A = forms.assemble_velocity_h1(fe)
         B = forms.assemble_divergence(fe)
         ell = np.ones(fe.num_velocity_dofs)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slipstokes import fem
 from slipstokes.errors import InvalidArgument
 from slipstokes.experiments import (KINDS, ExperimentConfig, fit_rate,
                                     parse_config, run_experiment,
@@ -75,7 +76,6 @@ value = 4.0
 schedule = 0.25,0.0625
 
 [solver]
-seed = 7
 threads = 2
 max_iterations = 30
 damping = 0.5
@@ -91,7 +91,6 @@ dir = out
         assert cfg.amplitude == 0.25
         assert cfg.alpha == 4.0
         assert cfg.alpha_schedule == (0.25, 0.0625)
-        assert cfg.seed == 7
         assert cfg.threads == 2
         assert cfg.picard.max_iterations == 30
         assert cfg.picard.damping == 0.5
@@ -140,6 +139,24 @@ class TestReports:
         a = self.run_small_mms(threads=1).to_csv()
         b = self.run_small_mms(threads=2).to_csv()
         assert a == b
+
+    def test_threads_share_one_system_on_one_mesh(self, monkeypatch):
+        builds = []
+
+        class CountingSystem(fem.FeSystem):
+            def __init__(self, mesh):
+                builds.append(mesh)
+                super().__init__(mesh)
+
+        monkeypatch.setattr(fem, "FeSystem", CountingSystem)
+        reports = []
+        for threads in (1, 2):
+            cfg = ExperimentConfig(kind="alpha_to_zero", levels=(8,),
+                                   threads=threads)
+            reports.append(run_experiment(cfg).to_csv())
+            # One system per run, shared by every solve in every thread.
+            assert len(builds) == threads
+        assert reports[0] == reports[1]
 
     def test_write_report_files(self, tmp_path):
         report = self.run_small_mms()

@@ -1,11 +1,16 @@
+import gc
 import math
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from slipstokes import (build_taylor_hood, interpolate, make_disk,
-                        make_unit_square, norms, velocity_error_h1,
-                        pressure_error_l2)
+                        make_unit_square, norms, solve_stokes, stokes_mms,
+                        velocity_error_h1, pressure_error_l2)
 from slipstokes.errors import InvalidArgument, NumericalError
 from slipstokes import fem, forms
 
@@ -102,6 +107,50 @@ class TestSystem:
         mids = fe.velocity_coords[fe.boundary_mid_nodes]
         ends = m.vertices[m.boundary_edges]
         assert np.allclose(mids, ends.mean(axis=1), atol=1e-15)
+
+
+class TestLiveSystem:
+    def test_one_system_per_live_mesh(self):
+        mesh = make_unit_square(4)
+        fe = build_taylor_hood(mesh)
+        assert build_taylor_hood(mesh) is fe
+        assert solve_stokes(mesh, stokes_mms()["data"]).fe is fe
+        assert build_taylor_hood(make_unit_square(4)) is not fe
+
+    def test_concurrent_callers_share_one_system(self):
+        mesh = make_unit_square(16)
+        workers = 8
+        barrier = threading.Barrier(workers)
+
+        def build(_):
+            barrier.wait(timeout=60)
+            return build_taylor_hood(mesh)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                systems = list(pool.map(build, range(workers), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(fe is systems[0] for fe in systems)
+
+    def test_system_freed_with_its_last_holder(self):
+        # With the cycle collector off, only reference counting can free
+        # the system and the mesh: a cycle between them would keep both.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            mesh = make_unit_square(4)
+            sol = solve_stokes(mesh, stokes_mms()["data"])
+            fe = build_taylor_hood(mesh)
+            fe_ref, mesh_ref = weakref.ref(fe), weakref.ref(mesh)
+            del sol, fe, mesh
+            assert fe_ref() is None
+            assert mesh_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestInterpolation:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from slipstokes import (ProblemData, build_taylor_hood, interpolate,
+from slipstokes import (ProblemData, apply_plan, build_dirichlet_plan,
+                        build_taylor_hood, factor_solve, forms, interpolate,
                         make_disk, make_unit_square, navier_stokes_mms,
                         rigid_rotation, solve_navier_stokes)
 from slipstokes.errors import InvalidArgument, MaxIterations
@@ -147,6 +148,40 @@ class TestPicard:
         with pytest.raises(InvalidArgument):
             solve_navier_stokes(make_disk(1), data)
 
+    def test_clamped_plan_matches_minimal_loop(self):
+        # The clamped (no-slip) reference of the friction studies: the
+        # shared loop on the Dirichlet plan reproduces, bit for bit, a
+        # minimal undamped Picard loop from zero on the viscous form alone.
+        mesh = make_unit_square(8)
+        fe = build_taylor_hood(mesh)
+        data = navier_stokes_mms(alpha=1.0, amplitude=0.15)["data"]
+        opts = PicardOptions(initial_guess="zero")
+        plan = build_dirichlet_plan(fe)
+        sol, log = solve_navier_stokes(mesh, data, options=opts, plan=plan)
+
+        A = forms.assemble_viscous(fe)
+        B = forms.assemble_divergence(fe)
+        ell = forms.assemble_load(fe, data)
+        H1 = forms.assemble_velocity_h1(fe)
+        u = np.zeros(fe.num_velocity_dofs)
+        for sweeps in range(1, opts.max_iterations + 1):
+            C = forms.assemble_convection_skew(fe, u)
+            system = apply_plan(plan, A + C, B, ell)
+            u_new, _, _ = plan.reconstruct(factor_solve(system))
+            inc = u_new - u
+            u = u_new
+            inc_norm = float(np.sqrt(max(inc @ (H1 @ inc), 0.0)))
+            u_norm = float(np.sqrt(max(u @ (H1 @ u), 0.0)))
+            if inc_norm <= opts.tol * max(u_norm, 1.0):
+                break
+        assert log.converged and len(log.rows) == sweeps
+        assert sol.u.tobytes() == u.tobytes()
+        n = fe.num_velocity_nodes
+        boundary = np.unique(np.concatenate([mesh.boundary_edges.ravel(),
+                                             fe.boundary_mid_nodes]))
+        assert not sol.u[np.concatenate([boundary, boundary + n])].any()
+        assert np.abs(sol.u).max() > 0.0
+
 
 class TestSmallness:
     def test_indicator_small_for_mms_data(self):
@@ -160,7 +195,7 @@ class TestSmallness:
         doubled = ProblemData(
             f=lambda p: 2.0 * np.asarray(base.f(p)),
             h=lambda p, n, t: 2.0 * np.asarray(base.h(p, n, t)),
-            alpha=base.alpha, alpha_star=base.alpha_star)
+            alpha=base.alpha)
         mesh = make_unit_square(4)
         s1 = smallness_indicator(mesh, base, n_triples=40, seed=3)
         s2 = smallness_indicator(mesh, doubled, n_triples=40, seed=3)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from slipstokes import (ProblemData, apply_plan, assemble_divergence,
-                        assemble_load, assemble_viscous, boundary_frames,
-                        build_constraint_plan, build_taylor_hood,
+                        assemble_load, assemble_viscous,
+                        build_constraint_plan, build_dirichlet_plan,
+                        build_taylor_hood,
                         disk_compatible_forcing, disk_incompatible_forcing,
                         disk_tangential_drive, factor_solve, make_disk,
                         make_unit_square, rigid_rotation, solve_stokes,
@@ -102,7 +103,7 @@ class TestFrictionlessDisk:
         data = disk_compatible_forcing(alpha=0.0)
         mesh = make_disk(level)
         fe = build_taylor_hood(mesh)
-        plan = build_constraint_plan(fe, boundary_frames(mesh), data)
+        plan = build_constraint_plan(fe, data)
         assert plan.guard is not None
         plan = dataclasses.replace(plan, guard=None, labels=plan.labels[:1])
         system = apply_plan(plan, assemble_viscous(fe),
@@ -153,6 +154,24 @@ class TestFrictionlessDisk:
         r_m = np.cos(np.pi / m)
         assert check_compatibility(mesh, data) == pytest.approx(
             c * m * L * r_m, rel=1e-12)
+
+
+class TestClampedReference:
+    @pytest.mark.parametrize("data", [sweep_forcing(),
+                                      stokes_mms(alpha=1.0)["data"]],
+                             ids=["frictionless", "friction"])
+    def test_dirichlet_plan_matches_direct_recipe(self, data):
+        # Friction acts only on boundary dofs, which the Dirichlet plan
+        # clamps, so the viscous form alone gives the same system.
+        mesh = make_unit_square(8)
+        fe = build_taylor_hood(mesh)
+        plan = build_dirichlet_plan(fe)
+        sol = solve_stokes(mesh, data, plan=plan)
+        system = apply_plan(plan, assemble_viscous(fe), assemble_divergence(fe),
+                            assemble_load(fe, data))
+        u, _, _ = plan.reconstruct(factor_solve(system))
+        assert sol.u.tobytes() == u.tobytes()
+        assert np.abs(u).max() > 0.0
 
 
 class TestExponents:
