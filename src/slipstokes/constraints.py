@@ -56,6 +56,12 @@ class ConstraintPlan:
     alpha_is_zero: bool = False
     labels: tuple = ()
 
+    def reduce(self, matrix):
+        """Rotate a velocity operator and keep its free-by-free block."""
+        T = self.rotation
+        f = self.free
+        return (T.T @ matrix @ T).tocsr()[f][:, f]
+
     def reconstruct(self, x):
         """Split a reduced solution into full velocity, pressure, multipliers."""
         nf, np_ = len(self.free), self.n_pressure
@@ -166,14 +172,10 @@ def apply_plan(plan, A, B, ell):
     ``[velocity_free, pressure, gauge multiplier?, guard multiplier?]``.
     """
     T = plan.rotation
-    A_rot = (T.T @ A @ T).tocsr()
-    B_rot = (B @ T).tocsr()
-    ell_rot = T.T @ ell
-
     f = plan.free
-    A_ff = A_rot[f][:, f]
-    B_f = B_rot[:, f]
-    ell_f = ell_rot[f]
+    A_ff = plan.reduce(A)
+    B_f = (B @ T).tocsr()[:, f]
+    ell_f = (T.T @ ell)[f]
 
     blocks = [[A_ff, B_f.T], [B_f, None]]
     rhs = [ell_f, np.zeros(plan.n_pressure)]

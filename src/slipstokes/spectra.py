@@ -1,10 +1,10 @@
 """Discrete spectral constants: Korn quotients, inf-sup, rotation inequalities.
 
 All eigenproblems are posed on the impermeability-constrained spaces.
-Dense symmetric solvers handle problems up to ``DENSE_LIMIT`` unknowns.
-Larger ones use shift-inverted Lanczos (ARPACK through ``eigsh``) about
-``SIGMA`` with a deterministic start vector, and the inf-sup Schur
-complement is formed by sparse solves.
+The Korn and rotation-moment constants come from shift-inverted Lanczos
+(ARPACK through ``eigsh``) about ``SIGMA`` with a deterministic start
+vector, at every problem size, and the inf-sup Schur complement is
+formed by sparse solves.
 
 Every sparse factorization here goes through ``saddle.symmetric_lu``:
 SuperLU's symmetric mode, a minimum-degree ordering of the symmetric
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import fem, forms
@@ -37,7 +36,6 @@ from .errors import InvalidArgument, SingularSystem
 from .fields import ProblemData, rigid_rotation
 from .saddle import symmetric_lu
 
-DENSE_LIMIT = 2000
 FLOOR_FACTOR = 100.0
 # Shift of the shift-invert Lanczos runs.  Negative, so A - SIGMA * M stays
 # positive definite even when A itself is singular (the kernel case).
@@ -53,7 +51,6 @@ class SpectralReport:
     constant: float
     mesh_size: float
     n_dofs: int
-    method: str
     alpha_descriptor: str = ""
     floor: float = 0.0
     detail: dict | None = None
@@ -71,18 +68,15 @@ def _zero_floor(n):
     return FLOOR_FACTOR * n * np.finfo(float).eps
 
 
-def _reduced(matrix, plan):
-    T = plan.rotation
-    f = plan.free
-    return (T.T @ matrix @ T).tocsr()[f][:, f]
+def _smallest_eig(A, M, solve):
+    """Smallest eigenvalue of the symmetric pencil (A, M), M positive definite.
 
-
-def _shift_invert_smallest(A, M, solve):
-    """Eigenvalue of the pencil (A, M) nearest ``SIGMA``.
-
-    ``solve`` applies ``(A - SIGMA * M)^{-1}``; ``A`` fixes only the shape.
-    The start vector comes from a fixed seed, so numpy's global random
-    state is untouched.
+    Shift-invert Lanczos about ``SIGMA < 0`` at every size, with ``solve``
+    applying ``(A - SIGMA * M)^{-1}``; ``A`` fixes only the shape.  The
+    shifted operator is positive definite even when ``A`` is singular, so
+    its static-pivot ``symmetric_lu`` factors are stable, and the smallest
+    eigenvalue is the one nearest the shift.  The start vector comes from
+    a fixed seed, so numpy's global random state is untouched.
     """
     n = A.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n)
@@ -90,22 +84,6 @@ def _shift_invert_smallest(A, M, solve):
     vals = spla.eigsh(A, k=1, M=M.tocsc(), sigma=SIGMA, which="LM",
                       v0=v0, OPinv=inv, return_eigenvectors=False)
     return float(vals[0])
-
-
-def _smallest_eig(A, M, n):
-    """Smallest eigenvalue of the symmetric pencil (A, M), M positive definite.
-
-    Dense up to ``DENSE_LIMIT`` unknowns.  Above it, shift-invert Lanczos
-    about ``SIGMA < 0``: ``A - SIGMA * M`` is positive definite even when
-    ``A`` is singular, so its static-pivot ``symmetric_lu`` factors are
-    stable, and the smallest eigenvalue is the one nearest the shift.
-    """
-    if n <= DENSE_LIMIT:
-        vals = scipy.linalg.eigh(A.toarray(), M.toarray(),
-                                 eigvals_only=True, subset_by_index=[0, 0])
-        return float(vals[0]), "dense"
-    lu = symmetric_lu((A - SIGMA * M).tocsc())
-    return _shift_invert_smallest(A, M, lu.solve), "shift-invert"
 
 
 def korn_quotient_min(mesh, alpha=0.0, include_boundary_term=False):
@@ -122,15 +100,15 @@ def korn_quotient_min(mesh, alpha=0.0, include_boundary_term=False):
     A = forms.assemble_viscous(fe)
     if include_boundary_term:
         A = A + forms.assemble_friction(fe, alpha)
-    A_red = _reduced(A, plan)
-    M_red = _reduced(forms.assemble_velocity_h1(fe), plan)
+    A_red = plan.reduce(A)
+    M_red = plan.reduce(forms.assemble_velocity_h1(fe))
     n = A_red.shape[0]
-    lam, method = _smallest_eig(A_red, M_red, n)
+    lu = symmetric_lu((A_red - SIGMA * M_red).tocsc())
+    lam = _smallest_eig(A_red, M_red, lu.solve)
     floor = _zero_floor(n)
     constant = 0.0 if lam < floor else float(lam)
     return SpectralReport(constant=constant, mesh_size=mesh.mesh_size(),
-                          n_dofs=n, method=method,
-                          alpha_descriptor=_alpha_descriptor(alpha),
+                          n_dofs=n, alpha_descriptor=_alpha_descriptor(alpha),
                           floor=floor,
                           detail={"raw_eigenvalue": float(lam),
                                   "boundary_term": include_boundary_term})
@@ -147,7 +125,7 @@ def _divergence_schur(mesh, dense):
     """
     fe = fem.build_taylor_hood(mesh)
     plan = build_constraint_plan(fe, ProblemData(alpha=1.0))
-    K = _reduced(forms.assemble_velocity_h1(fe), plan)
+    K = plan.reduce(forms.assemble_velocity_h1(fe))
     T = plan.rotation
     B = (forms.assemble_divergence(fe) @ T).tocsr()[:, plan.free]
     Mp = forms.assemble_pressure_mass(fe)
@@ -186,7 +164,7 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False):
         pos2 = vals2[vals2 > floor]
         detail["dense_oracle"] = float(np.sqrt(pos2[0]))
     return SpectralReport(constant=gamma, mesh_size=mesh.mesh_size(),
-                          n_dofs=n_vel, method="schur",
+                          n_dofs=n_vel,
                           alpha_descriptor=_alpha_descriptor(alpha),
                           floor=floor, detail=detail)
 
@@ -194,14 +172,8 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False):
 def _rank_one_smallest(A, g, M, lu):
     """Smallest eigenvalue of (A + g g^T, M) without densifying the rank-1 term.
 
-    ``lu`` factors ``A - SIGMA * M`` for the shift-invert path; ``None``
-    selects the dense solver.
+    ``lu`` factors ``A - SIGMA * M``.
     """
-    if lu is None:
-        dense = A.toarray() + np.outer(g, g)
-        vals = scipy.linalg.eigh(dense, M.toarray(), eigvals_only=True,
-                                 subset_by_index=[0, 0])
-        return float(vals[0]), "dense"
     # Sherman-Morrison inverse of (A - SIGMA * M + g g^T)
     w = lu.solve(g)
     denom = 1.0 + g @ w
@@ -210,7 +182,7 @@ def _rank_one_smallest(A, g, M, lu):
         y = lu.solve(x)
         return y - w * (g @ y) / denom
 
-    return _shift_invert_smallest(A, M, op), "shift-invert"
+    return _smallest_eig(A, M, op)
 
 
 def beta_inequality_checks(mesh):
@@ -231,9 +203,10 @@ def beta_inequality_checks(mesh):
     plan = build_constraint_plan(fe, ProblemData(alpha=0.0))
     T = plan.rotation
     f = plan.free
-    A_half = 0.5 * _reduced(forms.assemble_viscous(fe), plan)
-    M_l2 = _reduced(forms.assemble_velocity_mass(fe), plan)
+    A_half = 0.5 * plan.reduce(forms.assemble_viscous(fe))
+    M_l2 = plan.reduce(forms.assemble_velocity_mass(fe))
     n = A_half.shape[0]
+    floor = _zero_floor(n)
 
     beta = rigid_rotation()
     mass = forms.assemble_velocity_mass(fe, quad_order=6)
@@ -242,17 +215,14 @@ def beta_inequality_checks(mesh):
     g_bnd = (T.T @ forms.boundary_rotation_functional(fe))[f]
 
     # One factorization of the shifted operator serves both functionals.
-    lu = None
-    if n > DENSE_LIMIT:
-        lu = symmetric_lu((A_half - SIGMA * M_l2).tocsc())
+    lu = symmetric_lu((A_half - SIGMA * M_l2).tocsc())
     reports = {}
     for name, g in (("volume", g_vol), ("boundary", g_bnd)):
-        lam, method = _rank_one_smallest(A_half, g, M_l2, lu)
-        floor = _zero_floor(n)
+        lam = _rank_one_smallest(A_half, g, M_l2, lu)
         constant = 0.0 if lam < floor else float(lam)
         reports[name] = SpectralReport(
             constant=constant, mesh_size=mesh.mesh_size(), n_dofs=n,
-            method=method, alpha_descriptor="0", floor=floor,
+            alpha_descriptor="0", floor=floor,
             detail={"optimal_inequality_constant":
                     float(1.0 / lam) if lam > floor else np.inf})
     return reports

@@ -11,6 +11,20 @@ from slipstokes.experiments import (KINDS, ExperimentConfig, fit_rate,
                                     write_report)
 
 
+@pytest.fixture
+def fe_builds(monkeypatch):
+    """Meshes of every ``FeSystem`` constructed while the test runs."""
+    builds = []
+
+    class CountingSystem(fem.FeSystem):
+        def __init__(self, mesh):
+            builds.append(mesh)
+            super().__init__(mesh)
+
+    monkeypatch.setattr(fem, "FeSystem", CountingSystem)
+    return builds
+
+
 class TestFitRate:
     def test_exact_power_law(self):
         h = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
@@ -140,23 +154,22 @@ class TestReports:
         b = self.run_small_mms(threads=2).to_csv()
         assert a == b
 
-    def test_threads_share_one_system_on_one_mesh(self, monkeypatch):
-        builds = []
-
-        class CountingSystem(fem.FeSystem):
-            def __init__(self, mesh):
-                builds.append(mesh)
-                super().__init__(mesh)
-
-        monkeypatch.setattr(fem, "FeSystem", CountingSystem)
+    def test_threads_share_one_system_on_one_mesh(self, fe_builds):
         reports = []
         for threads in (1, 2):
             cfg = ExperimentConfig(kind="alpha_to_zero", levels=(8,),
                                    threads=threads)
             reports.append(run_experiment(cfg).to_csv())
             # One system per run, shared by every solve in every thread.
-            assert len(builds) == threads
+            assert len(fe_builds) == threads
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("kind", ["spectra_suite", "compat_disk"])
+    def test_one_system_per_level(self, fe_builds, kind):
+        # Three levels: the compatibility study fits a rate.
+        run_experiment(ExperimentConfig(kind=kind, domain="disk",
+                                        levels=(0, 1, 2)))
+        assert len(fe_builds) == 3
 
     def test_write_report_files(self, tmp_path):
         report = self.run_small_mms()

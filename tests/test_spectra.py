@@ -2,11 +2,14 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from slipstokes import (beta_inequality_checks, infsup_constant,
+from slipstokes import (beta_inequality_checks, fem, forms, infsup_constant,
                         korn_quotient_min, make_disk, make_unit_square, spectra)
+from slipstokes.constraints import build_constraint_plan
 from slipstokes.errors import InvalidArgument
+from slipstokes.fields import ProblemData, rigid_rotation
 from slipstokes.saddle import symmetric_lu
 
 
@@ -16,6 +19,13 @@ def _mesh(domain, level):
 
 def _same_random_state(a, b):
     return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
+
+
+def _dense_smallest(A, M):
+    """Dense oracle: smallest eigenvalue of the pencil (A, M), A dense."""
+    vals = scipy.linalg.eigh(A, M.toarray(), eigvals_only=True,
+                             subset_by_index=[0, 0])
+    return float(vals[0])
 
 
 def _counting_lu(calls):
@@ -36,7 +46,7 @@ class TestKorn:
     def test_disk_frictionless_kernel(self):
         # The interpolated rigid rotation satisfies every constraint
         # exactly, so the quotient floor snaps the constant to zero.
-        for level in (1, 2, 3):
+        for level in (0, 1, 2, 3):
             rep = korn_quotient_min(make_disk(level))
             assert rep.constant == 0.0
             assert rep.detail["raw_eigenvalue"] < rep.floor
@@ -59,7 +69,6 @@ class TestKorn:
                                 include_boundary_term=True)
         assert rep.n_dofs > 0
         assert rep.mesh_size > 0.0
-        assert rep.method in ("dense", "shift-invert")
         assert rep.alpha_descriptor == "2"
         assert rep.detail["boundary_term"] is True
 
@@ -126,38 +135,55 @@ class TestBetaInequalities:
 
 
 class TestShiftInvertPaths:
-    """The shift-invert solvers against the dense ones on the same meshes."""
+    """Shift-invert constants against dense ``eigh`` on the same reduced pencils.
+
+    The smallest reachable systems (square level 1, n = 6; disk level 0,
+    n = 26) go through shift-invert like every other size.
+    """
 
     @pytest.mark.parametrize("friction", [False, True])
-    @pytest.mark.parametrize("domain,level", [("square", 8), ("disk", 2), ("disk", 3)])
-    def test_korn_matches_dense(self, monkeypatch, domain, level, friction):
+    @pytest.mark.parametrize("domain,level", [
+        ("square", 8), ("disk", 2), ("disk", 3),
+        ("square", 1), ("disk", 0), ("disk", 1)])
+    def test_korn_matches_dense(self, domain, level, friction):
         mesh = _mesh(domain, level)
-        kwargs = {"alpha": 1.0 if friction else 0.0,
-                  "include_boundary_term": friction}
-        dense = korn_quotient_min(mesh, **kwargs)
-        monkeypatch.setattr(spectra, "DENSE_LIMIT", 0)
+        alpha = 1.0 if friction else 0.0
+        fe = fem.build_taylor_hood(mesh)
+        plan = build_constraint_plan(fe, ProblemData(alpha=alpha))
+        A = forms.assemble_viscous(fe)
+        if friction:
+            A = A + forms.assemble_friction(fe, alpha)
+        expected = _dense_smallest(plan.reduce(A).toarray(),
+                                   plan.reduce(forms.assemble_velocity_h1(fe)))
         state = np.random.get_state()
-        rep = korn_quotient_min(mesh, **kwargs)
+        rep = korn_quotient_min(mesh, alpha=alpha,
+                                include_boundary_term=friction)
         assert _same_random_state(state, np.random.get_state())
-        assert (dense.method, rep.method) == ("dense", "shift-invert")
         if domain == "disk" and not friction:
-            assert dense.constant == 0.0
+            assert abs(expected) < rep.floor
             assert rep.constant == 0.0
             assert rep.detail["raw_eigenvalue"] < rep.floor
         else:
-            assert abs(rep.constant - dense.constant) <= 1e-10 * dense.constant
+            assert abs(rep.constant - expected) <= 1e-10 * expected
 
-    @pytest.mark.parametrize("level", [2, 3])
-    def test_beta_matches_dense(self, monkeypatch, level):
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_beta_matches_dense(self, level):
         mesh = make_disk(level)
-        dense = beta_inequality_checks(mesh)
-        monkeypatch.setattr(spectra, "DENSE_LIMIT", 0)
+        fe = fem.build_taylor_hood(mesh)
+        plan = build_constraint_plan(fe, ProblemData(alpha=0.0))
+        T, f = plan.rotation, plan.free
+        A_half = 0.5 * plan.reduce(forms.assemble_viscous(fe)).toarray()
+        M_l2 = plan.reduce(forms.assemble_velocity_mass(fe))
+        mass = forms.assemble_velocity_mass(fe, quad_order=6)
+        beta = fem.interpolate(fe, rigid_rotation().value)
+        functionals = {
+            "volume": (T.T @ (mass @ beta))[f],
+            "boundary": (T.T @ forms.boundary_rotation_functional(fe))[f]}
         state = np.random.get_state()
         reports = beta_inequality_checks(mesh)
         assert _same_random_state(state, np.random.get_state())
-        for name in ("volume", "boundary"):
-            assert reports[name].method == "shift-invert"
-            expected = dense[name].constant
+        for name, g in functionals.items():
+            expected = _dense_smallest(A_half + np.outer(g, g), M_l2)
             assert abs(reports[name].constant - expected) <= 1e-10 * expected
 
 
@@ -166,10 +192,8 @@ class TestFactorizations:
 
     def test_beta_factors_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(spectra, "DENSE_LIMIT", 0)
         monkeypatch.setattr(spectra, "symmetric_lu", _counting_lu(calls))
-        reports = beta_inequality_checks(make_disk(3))
-        assert reports["volume"].method == "shift-invert"
+        beta_inequality_checks(make_disk(3))
         assert len(calls) == 1
 
     def test_korn_and_infsup_factor_once_each(self, monkeypatch):
@@ -180,10 +204,9 @@ class TestFactorizations:
 
         calls = []
         monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", refuse)
-        monkeypatch.setattr(spectra, "DENSE_LIMIT", 0)
         monkeypatch.setattr(spectra, "symmetric_lu", _counting_lu(calls))
         mesh = make_disk(2)
-        assert korn_quotient_min(mesh).method == "shift-invert"
+        korn_quotient_min(mesh)
         assert len(calls) == 1
         infsup_constant(mesh)
         assert len(calls) == 2
