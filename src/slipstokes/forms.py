@@ -202,8 +202,9 @@ def assemble_load(fe, data, quad_order=6):
 def assemble_convection_skew(fe, w_coeffs, quad_order=6):
     """Skew-symmetrized convection matrix for transport field w.
 
-    The raw matrix N has entries int (w.grad(phi_j)) phi_i on each velocity
-    component; the returned matrix is (N - N^T)/2, antisymmetric entrywise.
+    The raw scalar matrix N has entries int (w.grad(phi_j)) phi_i; the
+    returned matrix applies (N - N^T)/2, antisymmetric entrywise, to each
+    velocity component and stores no entry coupling the two.
     """
     rule = fem.quadrature(quad_order)
     wx, wy = fem.split_components(fe, w_coeffs)
@@ -215,12 +216,16 @@ def assemble_convection_skew(fe, w_coeffs, quad_order=6):
     # (w . grad) phi_j at each quadrature point
     adv = wqx[:, :, None] * grads[..., 0] + wqy[:, :, None] * grads[..., 1]
     s = np.einsum("qt,qi,qtj->tij", wq, vals, adv)      # (nt, 6, 6)
-    z = np.zeros_like(s)
-    local = np.block([[s, z], [z, s]])
-    raw = _scatter_vector_block(fe, local)
-    skew = 0.5 * (raw - raw.T).tocsr()
-    skew.sort_indices()
-    return skew
+    nodes = fe.tri_vnodes
+    n = fe.num_velocity_nodes
+    raw = _scatter(nodes[:, :, None] * np.ones((1, 1, 6), dtype=np.int64),
+                   nodes[:, None, :] * np.ones((1, 6, 1), dtype=np.int64),
+                   s, (n, n))
+    skew = 0.5 * (raw - raw.T)
+    # The same scalar block on both components; no x-y coupling is stored.
+    mat = sparse.block_diag((skew, skew), format="csr")
+    mat.sort_indices()
+    return mat
 
 
 def pressure_integral_vector(fe):

@@ -18,6 +18,13 @@ raises.  The test does not depend on the pivot order and barely on a
 diagonal rescaling of the unknowns, so large friction coefficients pass
 while the unguarded disk kernel (estimate 1e-18 or less) is refused.
 A final residual gate rejects inaccurate solves.
+
+Each gate exists once: ``factorize`` is the gated factorization,
+``gated_solve`` the finiteness and residual gates around any solve, and
+``factor_solve`` the two in a row.  ``krylov_solve`` reuses factors that
+passed ``factorize`` for a nearby matrix: GMRES, preconditioned with them,
+under the same residual gate, and a refactorization through
+``factor_solve`` when GMRES does not converge within its cap.
 """
 
 from dataclasses import dataclass
@@ -29,9 +36,14 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError, SingularSystem
 
 # Smallest admissible reciprocal 1-norm condition estimate of the
-# symmetrically equilibrated system matrix (see ``factor_solve``).
+# symmetrically equilibrated system matrix (see ``factorize``).
 PIVOT_RTOL = 1e-13
 RESIDUAL_RTOL = 1e-10
+# Relative residual of the preconditioned GMRES solves (``krylov_solve``)
+# and the iteration cap of their single restart cycle; a solve that
+# misses the residual within the cap is refactored.
+KRYLOV_RTOL = 1e-12
+KRYLOV_MAXITER = 50
 
 
 @dataclass
@@ -91,15 +103,13 @@ def _equilibrated_rcond(a, lu, d):
     return 1.0 / (norm * spla.onenormest(inverse, t=1))
 
 
-def factor_solve(system, pivot_rtol=PIVOT_RTOL):
-    """Solve a saddle system by sparse LU; deterministic for fixed input.
+def factorize(matrix, pivot_rtol=PIVOT_RTOL):
+    """Gated ``symmetric_lu`` factors of a square saddle matrix.
 
-    The factorization is ``symmetric_lu``: SuperLU's symmetric mode
-    (``MMD_AT_PLUS_A`` ordering, static diagonal pivots).  The system
-    is accepted when the reciprocal 1-norm condition estimate of the
-    symmetrically equilibrated ``D M D`` (see ``_equilibration``) is at
-    least ``pivot_rtol``.  The estimate reuses the factors and leaves numpy's
-    global random state untouched.
+    The matrix is accepted when the reciprocal 1-norm condition estimate
+    of the symmetrically equilibrated ``D M D`` (see ``_equilibration``)
+    is at least ``pivot_rtol``.  The estimate reuses the factors and
+    leaves numpy's global random state untouched.
 
     Raises
     ------
@@ -107,16 +117,13 @@ def factor_solve(system, pivot_rtol=PIVOT_RTOL):
         On a zero row, an exactly singular factorization, or an
         equilibrated condition estimate below ``pivot_rtol``.
     NumericalError
-        On non-finite input or an unacceptable final residual.
+        On non-finite entries or a non-square matrix.
     """
-    mat = system.matrix.tocsc()
-    b = np.asarray(system.rhs, dtype=float)
+    mat = matrix.tocsc()
     if mat.nnz and not np.isfinite(mat.data).all():
         raise NumericalError("non-finite entries in system matrix")
-    if not np.isfinite(b).all():
-        raise NumericalError("non-finite entries in right-hand side")
-    if mat.shape[0] != mat.shape[1] or mat.shape[0] != b.shape[0]:
-        raise NumericalError(f"shape mismatch: matrix {mat.shape}, rhs {b.shape}")
+    if mat.shape[0] != mat.shape[1]:
+        raise NumericalError(f"shape mismatch: matrix {mat.shape}")
 
     a = abs(mat).tocsr()
     d = _equilibration(a)
@@ -129,14 +136,70 @@ def factor_solve(system, pivot_rtol=PIVOT_RTOL):
         raise SingularSystem(
             f"equilibrated condition estimate {rcond:.3e} below {pivot_rtol:.1e}; "
             "the operator has a kernel to working precision")
+    return lu
 
-    x = lu.solve(b)
+
+def gated_solve(system, solve):
+    """``x = solve(rhs)`` under the finiteness and residual gates.
+
+    Raises
+    ------
+    NumericalError
+        On a non-finite or mismatched right-hand side, a non-finite
+        solution, or a residual above ``RESIDUAL_RTOL`` relative to the
+        right-hand side.
+    """
+    b = np.asarray(system.rhs, dtype=float)
+    if not np.isfinite(b).all():
+        raise NumericalError("non-finite entries in right-hand side")
+    if system.matrix.shape[0] != b.shape[0]:
+        raise NumericalError(
+            f"shape mismatch: matrix {system.matrix.shape}, rhs {b.shape}")
+    x = solve(b)
     if not np.isfinite(x).all():
         raise NumericalError("non-finite entries in solution")
     bnorm = np.linalg.norm(b)
     if bnorm > 0.0:
-        residual = np.linalg.norm(mat @ x - b) / bnorm
+        residual = np.linalg.norm(system.matrix @ x - b) / bnorm
         if residual > RESIDUAL_RTOL:
             raise NumericalError(
                 f"solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e}")
     return x
+
+
+def factor_solve(system, pivot_rtol=PIVOT_RTOL):
+    """Solve a saddle system by sparse LU; deterministic for fixed input.
+
+    ``factorize`` followed by ``gated_solve`` on its factors, so both
+    gates apply.
+    """
+    return gated_solve(system, factorize(system.matrix, pivot_rtol).solve)
+
+
+def krylov_solve(system, lu, x0):
+    """GMRES on ``system``, preconditioned by ``lu`` and warm-started at ``x0``.
+
+    ``lu`` factors a nearby matrix ``M`` that passed ``factorize``; in the
+    Picard iteration, the bordered Stokes matrix.  The correction is
+    ``x = x0 + M^-1 z`` with ``z`` from GMRES on ``K M^-1 z = b - K x0``.
+    This is right preconditioning, so the residual GMRES minimizes is the
+    true residual of ``x``.  One restart cycle of at most
+    ``KRYLOV_MAXITER`` iterations aims at ``KRYLOV_RTOL * |b|``, and a
+    result that reaches it then passes ``gated_solve``.  A solve that
+    misses it within the cap is refactored through ``factor_solve``
+    instead, so it gets the full singularity gate.  Returns
+    ``(x, iterations)``, with ``iterations`` None after such a fallback.
+    """
+    K = system.matrix
+    b = np.asarray(system.rhs, dtype=float)
+    op = spla.LinearOperator(K.shape, matvec=lambda z: K @ lu.solve(z),
+                             dtype=float)
+    residuals = []
+    z, info = spla.gmres(op, b - K @ x0, rtol=0.0,
+                         atol=KRYLOV_RTOL * np.linalg.norm(b),
+                         restart=KRYLOV_MAXITER, maxiter=1,
+                         callback=residuals.append, callback_type="pr_norm")
+    if info != 0:
+        return factor_solve(system), None
+    x = x0 + lu.solve(z)
+    return gated_solve(system, lambda _: x), len(residuals)

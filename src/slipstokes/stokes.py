@@ -46,13 +46,23 @@ class Solution:
         return json.dumps(self.diagnostics, indent=2, sort_keys=True)
 
 
-def _diagnostics(fe, plan, system, x, u, p, A_total, ell):
+def energy_gate(u, A_total, ell):
+    """``(lhs, rhs, |lhs - rhs|)`` of the energy identity ``u.A u = l(u)``.
+
+    Raises ``NumericalError`` when the defect exceeds ``ENERGY_RTOL``
+    times ``max(|lhs|, 1)``.
+    """
     energy_lhs = float(u @ (A_total @ u))
     energy_rhs = float(ell @ u)
     energy_residual = abs(energy_lhs - energy_rhs)
     if energy_residual > ENERGY_RTOL * max(abs(energy_lhs), 1.0):
         raise NumericalError(
             f"energy identity violated: |{energy_lhs:.6e} - {energy_rhs:.6e}|")
+    return energy_lhs, energy_rhs, energy_residual
+
+
+def _diagnostics(fe, plan, system, x, u, p, A_total, ell):
+    energy_lhs, energy_rhs, energy_residual = energy_gate(u, A_total, ell)
     rep = fem.norms(fe, u)
     bnorm = np.linalg.norm(system.rhs)
     linear_residual = float(np.linalg.norm(system.matrix @ x - system.rhs)

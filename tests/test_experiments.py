@@ -149,6 +149,15 @@ class TestReports:
         assert a == b
         assert a.endswith("\n")
 
+    def test_ns_mms_csv_bytes_deterministic(self, tmp_path):
+        written = []
+        for k in range(2):
+            cfg = ExperimentConfig(kind="ns_mms", levels=(4, 8, 16))
+            csv_path, _ = write_report(run_experiment(cfg),
+                                       str(tmp_path / str(k)))
+            written.append(Path(csv_path).read_bytes())
+        assert written[0] == written[1]
+
     def test_threads_do_not_change_bytes(self):
         a = self.run_small_mms(threads=1).to_csv()
         b = self.run_small_mms(threads=2).to_csv()

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slipstokes import (ProblemData, apply_plan, build_dirichlet_plan,
-                        build_taylor_hood, factor_solve, forms, interpolate,
-                        make_disk, make_unit_square, navier_stokes_mms,
-                        rigid_rotation, solve_navier_stokes)
-from slipstokes.errors import InvalidArgument, MaxIterations
+from slipstokes import (ProblemData, apply_plan, build_constraint_plan,
+                        build_dirichlet_plan, build_taylor_hood, factor_solve,
+                        fem, forms, interpolate, make_disk, make_unit_square,
+                        navier_stokes_mms, rigid_rotation, solve_navier_stokes)
+from slipstokes import navierstokes, saddle
+from slipstokes.errors import InvalidArgument, MaxIterations, SingularSystem
 from slipstokes.fem import velocity_error_h1, pressure_error_l2
 from slipstokes.fields import ClosedFormField, disk_compatible_forcing
 from slipstokes.navierstokes import (PicardOptions, smallness_indicator,
@@ -150,8 +155,10 @@ class TestPicard:
 
     def test_clamped_plan_matches_minimal_loop(self):
         # The clamped (no-slip) reference of the friction studies: the
-        # shared loop on the Dirichlet plan reproduces, bit for bit, a
-        # minimal undamped Picard loop from zero on the viscous form alone.
+        # shared loop on the Dirichlet plan reproduces a minimal undamped
+        # Picard loop from zero on the viscous form alone, with one direct
+        # solve per sweep, in the same number of sweeps and to 1e-12 in H1
+        # (the shared loop solves its sweeps by GMRES on Stokes factors).
         mesh = make_unit_square(8)
         fe = build_taylor_hood(mesh)
         data = navier_stokes_mms(alpha=1.0, amplitude=0.15)["data"]
@@ -175,12 +182,136 @@ class TestPicard:
             if inc_norm <= opts.tol * max(u_norm, 1.0):
                 break
         assert log.converged and len(log.rows) == sweeps
-        assert sol.u.tobytes() == u.tobytes()
+        d = sol.u - u
+        assert np.sqrt(d @ (H1 @ d)) <= 1e-12 * np.sqrt(u @ (H1 @ u))
         n = fe.num_velocity_nodes
         boundary = np.unique(np.concatenate([mesh.boundary_edges.ravel(),
                                              fe.boundary_mid_nodes]))
         assert not sol.u[np.concatenate([boundary, boundary + n])].any()
         assert np.abs(sol.u).max() > 0.0
+
+
+def _counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestOneFactorization:
+    """The Picard loop factors the Stokes system once and sweeps by GMRES."""
+
+    @pytest.mark.parametrize("damping", [1.0, 0.7])
+    def test_one_apply_plan_per_solve(self, monkeypatch, damping):
+        calls = []
+        monkeypatch.setattr(navierstokes, "apply_plan",
+                            _counting(calls, apply_plan))
+        mms = navier_stokes_mms(alpha=1.0, amplitude=0.15)
+        _, log = solve_navier_stokes(make_unit_square(8), mms["data"],
+                                     PicardOptions(damping=damping))
+        assert log.converged and len(log.rows) > 1
+        assert len(calls) == 1
+
+    def test_one_symmetric_lu_and_no_factor_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(saddle, "symmetric_lu",
+                            _counting(calls, saddle.symmetric_lu))
+        monkeypatch.setattr(saddle, "factor_solve",
+                            _counting(calls, saddle.factor_solve))
+        mms = navier_stokes_mms(alpha=1.0, amplitude=0.15)
+        _, log = solve_navier_stokes(make_unit_square(16), mms["data"])
+        assert log.converged
+        assert calls == ["symmetric_lu"]
+        assert all(isinstance(k, int) for k in log.krylov)
+
+    def test_capped_gmres_refactors_every_sweep(self, monkeypatch):
+        mesh = make_unit_square(8)
+        data = navier_stokes_mms(alpha=1.0, amplitude=4.0)["data"]
+        ref, ref_log = solve_navier_stokes(mesh, data)
+        calls = []
+        monkeypatch.setattr(saddle, "KRYLOV_MAXITER", 1)
+        monkeypatch.setattr(saddle, "factor_solve",
+                            _counting(calls, saddle.factor_solve))
+        sol, log = solve_navier_stokes(mesh, data)
+        assert len(log.rows) == len(ref_log.rows)
+        assert log.krylov == [None] * len(log.rows)
+        assert len(calls) == len(log.rows)
+        H1 = forms.assemble_velocity_h1(sol.fe)
+        d = sol.u - ref.u
+        assert np.sqrt(d @ (H1 @ d)) <= 1e-12 * np.sqrt(ref.u @ (H1 @ ref.u))
+
+    def test_singular_stokes_system_raises_before_any_sweep(self, monkeypatch):
+        mesh = make_disk(2)
+        data = disk_compatible_forcing(alpha=0.0)
+        plan = build_constraint_plan(build_taylor_hood(mesh), data)
+        unguarded = dataclasses.replace(plan, guard=None,
+                                        labels=("pressure_gauge",))
+        calls = []
+        monkeypatch.setattr(forms, "assemble_convection_skew",
+                            _counting(calls, forms.assemble_convection_skew))
+        with pytest.raises(SingularSystem):
+            solve_navier_stokes(mesh, data, plan=unguarded)
+        assert calls == []
+
+    def test_krylov_log_stays_out_of_outputs(self):
+        mms = navier_stokes_mms(alpha=1.0, amplitude=0.15)
+        sol, log = solve_navier_stokes(make_unit_square(4), mms["data"],
+                                       PicardOptions(damping=0.7))
+        # One entry per sweep plus the undamped polish.
+        assert len(log.krylov) == len(log.rows) + 1
+        assert all(len(row) == 3 for row in log.rows)
+        assert log.to_csv().splitlines()[0] == "iteration,increment,energy_residual"
+        assert not any("krylov" in key for key in sol.diagnostics)
+
+
+def _old_convection_skew(fe, w, quad_order=6):
+    # The previous recipe: (12, 12) blocks with explicit zero x-y coupling.
+    rule = fem.quadrature(quad_order)
+    wx, wy = fem.split_components(fe, w)
+    vals = fem.p2_values(rule.tri_points)
+    grads = fe.physical_grads(rule)
+    wq = rule.tri_weights[:, None] * fe.det[None, :]
+    wqx = np.einsum("qk,tk->qt", vals, wx[fe.tri_vnodes])
+    wqy = np.einsum("qk,tk->qt", vals, wy[fe.tri_vnodes])
+    adv = wqx[:, :, None] * grads[..., 0] + wqy[:, :, None] * grads[..., 1]
+    s = np.einsum("qt,qi,qtj->tij", wq, vals, adv)
+    z = np.zeros_like(s)
+    raw = forms._scatter_vector_block(fe, np.block([[s, z], [z, s]]))
+    skew = 0.5 * (raw - raw.T).tocsr()
+    skew.eliminate_zeros()
+    skew.sort_indices()
+    return skew
+
+
+class TestConvectionAssembly:
+    @pytest.mark.parametrize("mesh", [make_unit_square(16), make_disk(3)],
+                             ids=["square16", "disk3"])
+    def test_bitwise_equal_to_block_recipe(self, mesh):
+        fe = build_taylor_hood(mesh)
+        w = np.random.default_rng(4).standard_normal(fe.num_velocity_dofs)
+        new = forms.assemble_convection_skew(fe, w)
+        old = _old_convection_skew(fe, w)
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+        assert new.data.tobytes() == old.data.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**16), scale=st.floats(1e-6, 1e6),
+           domain=st.sampled_from(["square", "disk"]))
+    def test_reduced_convection_is_skew_and_uncoupled(self, seed, scale,
+                                                      domain):
+        mesh = make_unit_square(8) if domain == "square" else make_disk(2)
+        fe = build_taylor_hood(mesh)
+        w = scale * np.random.default_rng(seed).standard_normal(
+            fe.num_velocity_dofs)
+        C = forms.assemble_convection_skew(fe, w)
+        n = fe.num_velocity_nodes
+        coo = C.tocoo()
+        assert not ((coo.row < n) != (coo.col < n)).any()
+        plan = build_constraint_plan(fe, ProblemData(alpha=1.0))
+        R = plan.reduce(C)
+        sym = abs(R + R.T)
+        assert sym.max() <= 1e-14 * abs(R).max()
 
 
 class TestSmallness:

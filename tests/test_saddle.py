@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slipstokes.errors import NumericalError, SingularSystem
-from slipstokes.saddle import SaddleSystem, factor_solve
+from slipstokes import saddle
+from slipstokes.saddle import (SaddleSystem, factor_solve, factorize,
+                               krylov_solve)
 
 
 def random_spd_saddle(n=40, m=12, seed=0):
@@ -37,6 +39,37 @@ class TestFactorSolve:
         a = factor_solve(random_spd_saddle(seed=2))
         b = factor_solve(random_spd_saddle(seed=2))
         assert np.array_equal(a, b)
+
+
+class TestKrylovSolve:
+    def skew_perturbed(self, seed, size):
+        sys = random_spd_saddle(seed=seed)
+        n = sys.n_velocity
+        R = np.random.default_rng(seed + 1).standard_normal((n, n))
+        C = np.zeros(sys.matrix.shape)
+        C[:n, :n] = size * (R - R.T)
+        return sys, SaddleSystem(matrix=(sys.matrix + sparse.csr_matrix(C)).tocsr(),
+                                 rhs=sys.rhs, n_velocity=n,
+                                 n_pressure=sys.n_pressure)
+
+    def test_matches_direct_solve_on_nearby_factors(self):
+        stokes, system = self.skew_perturbed(seed=3, size=2.0)
+        lu = factorize(stokes.matrix)
+        x, iterations = krylov_solve(system, lu, np.zeros(len(system.rhs)))
+        ref = factor_solve(system)
+        assert 0 < iterations <= saddle.KRYLOV_MAXITER
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+        # A converged warm start needs no iteration.
+        again, iterations = krylov_solve(system, lu, ref)
+        assert iterations == 0 and np.array_equal(again, ref)
+
+    def test_capped_solve_falls_back_to_factor_solve(self, monkeypatch):
+        stokes, system = self.skew_perturbed(seed=5, size=2.0)
+        monkeypatch.setattr(saddle, "KRYLOV_MAXITER", 1)
+        x, iterations = krylov_solve(system, factorize(stokes.matrix),
+                                     np.zeros(len(system.rhs)))
+        assert iterations is None
+        assert np.array_equal(x, factor_solve(system))
 
 
 class TestFailureModes:
