@@ -102,7 +102,6 @@ def build_parser():
     spec.add_argument("--levels", type=_int_list, default=(4, 8))
     spec.add_argument("--alpha", type=float, default=1.0)
     spec.add_argument("--out", default=None, help="report directory")
-    spec.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -211,8 +210,7 @@ def _cmd_experiment(args):
 
 def _cmd_spectra(args):
     cfg = ExperimentConfig(kind="spectra_suite", domain=args.domain,
-                           levels=args.levels, alpha=args.alpha,
-                           threads=args.threads)
+                           levels=args.levels, alpha=args.alpha)
     report = run_experiment(cfg)
     if args.out:
         csv_path, json_path = write_report(report, args.out)

@@ -8,13 +8,12 @@ pinned by one dense multiplier row, and on the disk with vanishing friction
 an additional multiplier row removes the rigid rotation from the kernel.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
 
 from . import fem, forms
-from .errors import InvalidArgument
 from .fields import sample_alpha
 from .mesh import boundary_frames
 from .saddle import SaddleSystem
@@ -22,9 +21,12 @@ from .saddle import SaddleSystem
 ALPHA_ZERO_TOL = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintPlan:
     """Recipe converting assembled blocks into a reduced saddle system.
+
+    Plans are shared (see :func:`build_slip_plan`): frozen, with read-only
+    arrays.
 
     Attributes
     ----------
@@ -43,7 +45,8 @@ class ConstraintPlan:
     guard : (n_velocity,) array or None
         Boundary rotation-moment row (unrotated coordinates); present
         exactly when the domain is the disk and friction vanishes.
-    alpha_is_zero : bool
+    labels : tuple
+        Names of the multipliers, in row order.
     """
 
     n_velocity: int
@@ -53,8 +56,14 @@ class ConstraintPlan:
     free: np.ndarray
     gauge: np.ndarray | None = None
     guard: np.ndarray | None = None
-    alpha_is_zero: bool = False
     labels: tuple = ()
+
+    def __post_init__(self):
+        T = self.rotation
+        for a in (T.data, T.indices, T.indptr, self.eliminated, self.free,
+                  self.gauge, self.guard):
+            if a is not None:
+                a.flags.writeable = False
 
     def reduce(self, matrix):
         """Rotate a velocity operator and keep its free-by-free block."""
@@ -74,74 +83,64 @@ class ConstraintPlan:
 
 
 def _rotation_matrix(fe, frames):
-    """Orthogonal block-diagonal map from (normal, tangent) coords to (x, y)."""
+    """Orthogonal block-diagonal map from (normal, tangent) coords to (x, y).
+
+    Blocks [[nx, tx], [ny, ty]] on (i, n + i) at boundary nodes, else 1.
+    """
     n = fe.num_velocity_nodes
-    mesh = fe.mesh
-    rows, cols, vals = [], [], []
-    touched = np.zeros(n, dtype=bool)
-    for row_idx, node in enumerate(frames.vertex_ids):
-        nx, ny = frames.normals[row_idx]
-        tx, ty = frames.tangents[row_idx]
-        ia, ib = int(node), n + int(node)
-        rows += [ia, ia, ib, ib]
-        cols += [ia, ib, ia, ib]
-        vals += [nx, tx, ny, ty]
-        touched[int(node)] = True
-    for k in range(mesh.num_boundary_edges):
-        node = int(fe.boundary_mid_nodes[k])
-        nx, ny = mesh.boundary_normals[k]
-        tx, ty = mesh.boundary_tangents[k]
-        ia, ib = node, n + node
-        rows += [ia, ia, ib, ib]
-        cols += [ia, ib, ia, ib]
-        vals += [nx, tx, ny, ty]
-        touched[node] = True
-    interior = np.flatnonzero(~touched)
-    for node in interior:
-        rows += [node, n + node]
-        cols += [node, n + node]
-        vals += [1.0, 1.0]
-    T = sparse.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+    x = np.concatenate([frames.vertex_ids, fe.boundary_mid_nodes])
+    y = n + x
+    nrm = np.vstack([frames.normals, fe.mesh.boundary_normals])
+    tan = np.vstack([frames.tangents, fe.mesh.boundary_tangents])
+    inner = np.setdiff1d(np.arange(n), x)
+    inner = np.concatenate([inner, n + inner])
+    vals = np.concatenate([nrm[:, 0], tan[:, 0], nrm[:, 1], tan[:, 1],
+                           np.ones(len(inner))])
+    T = sparse.coo_matrix((vals, (np.concatenate([x, x, y, y, inner]),
+                                  np.concatenate([x, y, x, y, inner]))),
+                          shape=(2 * n, 2 * n)).tocsr()
     T.sort_indices()
     return T
 
 
-def build_constraint_plan(fe, data, quad_order=4):
-    """Construct the constraint plan for one problem on ``fe``'s mesh.
+def build_slip_plan(fe):
+    """The data-free part of every slip plan on ``fe``'s mesh.
 
-    The guard row activates exactly when the domain is the disk and every
-    friction sample on the boundary is at most 1e-14 in magnitude.
+    Boundary nodes rotated into their frames, normal coordinates (both at
+    corners) eliminated, and the pressure gauge.  ``fe.slip_plan()``
+    builds it once per live system and shares it.
     """
-    mesh = fe.mesh
-    frames = boundary_frames(mesh)
     n = fe.num_velocity_nodes
-    rule = fem.quadrature(quad_order)
-    pts = fe.boundary_quad_coords(rule)
-    avals = sample_alpha(data.alpha, pts, mesh.boundary_markers)
-    alpha_is_zero = bool(np.all(np.abs(avals) <= ALPHA_ZERO_TOL))
-
-    eliminated = []
-    for row_idx, node in enumerate(frames.vertex_ids):
-        eliminated.append(int(node))                 # normal coordinate
-        if frames.corner[row_idx]:
-            eliminated.append(n + int(node))         # tangential too
-    eliminated.extend(int(m) for m in fe.boundary_mid_nodes)
-    eliminated = np.unique(np.array(eliminated, dtype=np.int64))
-    free = np.setdiff1d(np.arange(2 * n, dtype=np.int64), eliminated,
-                        assume_unique=True)
-
-    guard = None
-    labels = ("pressure_gauge",)
-    if mesh.domain_tag == "disk" and alpha_is_zero:
-        guard = forms.boundary_rotation_functional(fe)
-        labels = ("pressure_gauge", "kernel_guard")
-
+    frames = boundary_frames(fe.mesh)
+    eliminated = np.unique(np.concatenate([
+        frames.vertex_ids, n + frames.vertex_ids[frames.corner],
+        fe.boundary_mid_nodes]))
     return ConstraintPlan(
         n_velocity=2 * n, n_pressure=fe.num_pressure_dofs,
-        rotation=_rotation_matrix(fe, frames),
-        eliminated=eliminated, free=free,
-        gauge=forms.pressure_integral_vector(fe),
-        guard=guard, alpha_is_zero=alpha_is_zero, labels=labels)
+        rotation=_rotation_matrix(fe, frames), eliminated=eliminated,
+        free=np.setdiff1d(np.arange(2 * n, dtype=np.int64), eliminated,
+                          assume_unique=True),
+        gauge=forms.pressure_integral_vector(fe), labels=("pressure_gauge",))
+
+
+def friction_vanishes(fe, alpha):
+    """Whether every order-4 boundary sample of ``alpha`` is at most 1e-14.
+
+    ``sample_alpha`` refuses a negative sample with ``InvalidArgument``.
+    """
+    pts = fe.boundary_quad_coords(fem.quadrature(4))
+    avals = sample_alpha(alpha, pts, fe.mesh.boundary_markers)
+    return bool(np.all(np.abs(avals) <= ALPHA_ZERO_TOL))
+
+
+def build_constraint_plan(fe, data):
+    """The shared ``fe.slip_plan()``, with the guard row exactly when the
+    domain is the disk and ``friction_vanishes``."""
+    plan = fe.slip_plan()
+    if friction_vanishes(fe, data.alpha) and fe.mesh.domain_tag == "disk":
+        return replace(plan, guard=forms.boundary_rotation_functional(fe),
+                       labels=("pressure_gauge", "kernel_guard"))
+    return plan
 
 
 def build_dirichlet_plan(fe):
@@ -161,8 +160,7 @@ def build_dirichlet_plan(fe):
         n_velocity=2 * n, n_pressure=fe.num_pressure_dofs,
         rotation=sparse.identity(2 * n, format="csr"),
         eliminated=eliminated, free=free,
-        gauge=forms.pressure_integral_vector(fe),
-        guard=None, alpha_is_zero=False, labels=("pressure_gauge",))
+        gauge=forms.pressure_integral_vector(fe), labels=("pressure_gauge",))
 
 
 def apply_plan(plan, A, B, ell):

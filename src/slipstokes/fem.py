@@ -2,10 +2,10 @@
 
 Degrees of freedom
 ------------------
-Velocity nodes are the mesh vertices followed by the edge midpoints; with
-``N = num_vertices + num_edges`` the velocity vector stores all x components
-first, then all y components, so component ``c`` of node ``i`` lives at
-``c * N + i``.  Pressure nodes are the vertices.
+Velocity nodes are the mesh vertices followed by the midpoints of
+``mesh.edges``; with ``N = num_vertices + len(mesh.edges)`` the velocity
+vector stores all x components first, then all y components, so component
+``c`` of node ``i`` lives at ``c * N + i``.  Pressure nodes are the vertices.
 
 Quadrature rules are symmetric Gauss rules on the reference triangle paired
 with Gauss-Legendre rules on the unit segment of matching polynomial
@@ -120,47 +120,32 @@ def segment_p2_values(t):
 class FeSystem:
     """Assembled geometric tables for one Taylor-Hood space.
 
-    Built by :func:`build_taylor_hood`; holds the edge enumeration, per
-    triangle DOF maps and affine element geometry that the assembly and
-    evaluation routines share.  Every caller on one mesh shares one
-    instance, so nothing may write to its arrays.
+    Built by :func:`build_taylor_hood` from the mesh's edge table; holds
+    the per triangle DOF maps and affine element geometry that the
+    assembly and evaluation routines share.  Every caller on one mesh
+    shares one instance, so nothing may write to its arrays.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         nv = mesh.num_vertices
-        edge_of = {}
-        tri_edges = np.empty((mesh.num_triangles, 3), dtype=np.int64)
-        edges = []
-        for ti, (a, b, c) in enumerate(mesh.triangles):
-            for k, (i, j) in enumerate(((a, b), (b, c), (c, a))):
-                key = (min(i, j), max(i, j))
-                eid = edge_of.get(key)
-                if eid is None:
-                    eid = len(edges)
-                    edge_of[key] = eid
-                    edges.append(key)
-                tri_edges[ti, k] = eid
-        self.edges = np.array(edges, dtype=np.int64)
-        self.tri_edges = tri_edges
-        self.num_edges = len(edges)
-        self.num_velocity_nodes = nv + self.num_edges
+        edges = mesh.edges
+        self.num_velocity_nodes = nv + len(edges)
         self.num_velocity_dofs = 2 * self.num_velocity_nodes
         self.num_pressure_dofs = nv
 
         self.velocity_coords = np.vstack([
             mesh.vertices,
-            0.5 * (mesh.vertices[self.edges[:, 0]] + mesh.vertices[self.edges[:, 1]]),
+            0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]]),
         ])
         # (nt, 6) global velocity node ids in local order
-        self.tri_vnodes = np.hstack([mesh.triangles, nv + tri_edges])
+        self.tri_vnodes = np.hstack([mesh.triangles, nv + mesh.triangle_edges])
         self.tri_pnodes = mesh.triangles
 
         p = mesh.vertices[mesh.triangles]
         jac = np.empty((mesh.num_triangles, 2, 2))
         jac[:, :, 0] = p[:, 1] - p[:, 0]
         jac[:, :, 1] = p[:, 2] - p[:, 0]
-        self.jac = jac
         self.det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         inv = np.empty_like(jac)
         inv[:, 0, 0] = jac[:, 1, 1]
@@ -169,13 +154,11 @@ class FeSystem:
         inv[:, 1, 1] = jac[:, 0, 0]
         self.inv_jac_t = inv / self.det[:, None, None]
 
-        # Boundary edge -> mesh edge id and midpoint velocity node.
-        lut = edge_of
-        self.boundary_edge_ids = np.array(
-            [lut[(min(a, b), max(a, b))] for a, b in mesh.boundary_edges],
-            dtype=np.int64)
-        self.boundary_mid_nodes = nv + self.boundary_edge_ids
+        # Midpoint velocity node of each boundary edge.
+        self.boundary_mid_nodes = nv + mesh.boundary_edge_ids
         self._grad_cache = {}
+        self._slip_plan = None
+        self._slip_lock = threading.Lock()
 
     def physical_grads(self, rule):
         """Physical P2 gradients per element: array (nq, nt, 6, 2), cached."""
@@ -186,6 +169,18 @@ class FeSystem:
             g = np.einsum("tab,qib->qtia", self.inv_jac_t, ref)
             self._grad_cache[key] = g
         return self._grad_cache[key]
+
+    def slip_plan(self):
+        """The data-free slip plan of this mesh, built once and then shared.
+
+        See ``constraints.build_slip_plan``; the plan is frozen and its
+        arrays read-only.
+        """
+        with self._slip_lock:
+            if self._slip_plan is None:
+                from .constraints import build_slip_plan   # imports this module
+                self._slip_plan = build_slip_plan(self)
+            return self._slip_plan
 
     def quad_coords(self, rule):
         """Physical coordinates of triangle quadrature points, (nq, nt, 2)."""

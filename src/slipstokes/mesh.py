@@ -15,6 +15,8 @@ The generators produce exactly two families:
   rings around the center ("spiderweb" pattern).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidArgument, ParseError
@@ -61,6 +63,9 @@ class TriMesh:
         Either ``"square"`` or ``"disk"``.
     metadata : dict, optional
         Generator parameters (refinement level, radius, ...).
+
+    Validation keeps its edge table (see ``_edge_table``): ``edges``,
+    ``triangle_edges`` and the ``boundary_edge_ids`` of the declared edges.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
@@ -74,10 +79,11 @@ class TriMesh:
         self.boundary_kappa = np.ascontiguousarray(boundary_kappa, dtype=float)
         self.domain_tag = domain_tag
         self.metadata = dict(metadata or {})
-        _validate(self)
+        self.edges, self.triangle_edges, self.boundary_edge_ids = _validate(self)
         for a in (self.vertices, self.triangles, self.boundary_edges,
                   self.boundary_markers, self.boundary_normals,
-                  self.boundary_tangents, self.boundary_kappa):
+                  self.boundary_tangents, self.boundary_kappa, self.edges,
+                  self.triangle_edges, self.boundary_edge_ids):
             a.flags.writeable = False
 
     @property
@@ -105,12 +111,8 @@ class TriMesh:
 
     def mesh_size(self):
         """Longest edge over all triangles."""
-        p = self.vertices[self.triangles]
-        h = 0.0
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            d = p[:, i] - p[:, j]
-            h = max(h, float(np.max(np.hypot(d[:, 0], d[:, 1]))))
-        return h
+        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        return float(np.max(np.hypot(d[:, 0], d[:, 1])))
 
     def min_angle(self):
         """Smallest interior angle over all triangles, in degrees."""
@@ -149,21 +151,17 @@ def _validate(mesh):
 
     # Boundary edges must each be used by exactly one triangle, and the set
     # of one-triangle edges must be exactly the declared boundary.
-    edge_count = {}
-    for t in tris:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    declared = set()
-    for a, b in be:
+    edges, tri_edges, uses, boundary_ids = _edge_table(tris, be, nv)
+    twice = np.ones(len(be), dtype=bool)
+    twice[np.unique(boundary_ids, return_index=True)[1]] = False
+    bad = np.flatnonzero(twice | (uses[boundary_ids] != 1))
+    if bad.size:
+        a, b = be[bad[0]]
         key = (min(a, b), max(a, b))
-        if key in declared:
+        if twice[bad[0]]:
             raise InvalidArgument(f"boundary edge {key} declared twice")
-        declared.add(key)
-        if edge_count.get(key, 0) != 1:
-            raise InvalidArgument(f"boundary edge {key} not on exactly one triangle")
-    lonely = {k for k, c in edge_count.items() if c == 1}
-    if lonely != declared:
+        raise InvalidArgument(f"boundary edge {key} not on exactly one triangle")
+    if np.count_nonzero(uses == 1) != len(be):
         raise InvalidArgument("declared boundary does not match triangulation boundary")
 
     # Closed loops: every boundary vertex appears once as a start, once as an end.
@@ -183,7 +181,10 @@ def _validate(mesh):
     slack = 1e-12 + mesh.boundary_kappa * lengths
     if np.any(np.abs(np.einsum("ij,ij->i", unit_d, mesh.boundary_normals)) > slack):
         raise InvalidArgument("boundary normal not perpendicular to its edge")
-    owner_centroid = _boundary_owner_centroids(mesh, edge_count)
+    # Exact on boundary edges, which have one triangle each.
+    owner = np.empty(len(edges), dtype=np.int64)
+    owner[tri_edges.ravel()] = np.repeat(np.arange(len(tris)), 3)
+    owner_centroid = mesh.vertices[tris[owner[boundary_ids]]].mean(axis=1)
     outward = np.einsum("ij,ij->i", mids - owner_centroid, mesh.boundary_normals)
     if np.any(outward <= 0.0):
         raise InvalidArgument("boundary normal does not point outward")
@@ -193,18 +194,31 @@ def _validate(mesh):
     resultant = (lengths[:, None] * mesh.boundary_normals).sum(axis=0)
     if np.hypot(*resultant) > 1e-12 * lengths.sum():
         raise InvalidArgument("length-weighted boundary normals do not cancel")
+    return edges, tri_edges, boundary_ids
 
 
-def _boundary_owner_centroids(mesh, edge_count):
-    owner = {}
-    for ti, t in enumerate(mesh.triangles):
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(a, b), max(a, b))
-            if edge_count[key] == 1:
-                owner[key] = ti
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    rows = [owner[(min(a, b), max(a, b))] for a, b in mesh.boundary_edges]
-    return centroids[rows]
+def _edge_table(triangles, boundary_edges, nv):
+    """Edges numbered by first use over triangles, then declared boundary.
+
+    Triangle edges come in local order (a,b), (b,c), (c,a).  Returns the
+    (ne, 2) pairs ``(lo, hi)`` of the triangles' edges, the (nt, 3) edge
+    ids per triangle, the triangle count per id, and the (nb,) boundary
+    ids, which are ``ne`` or more (count 0) for pairs on no triangle.
+    """
+    local = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2)
+    pairs = np.sort(np.concatenate([local.reshape(-1, 2), boundary_edges]),
+                    axis=1)
+    _, first, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = rank[inverse]
+    n_local = local.shape[0] * 3
+    ne = np.count_nonzero(first < n_local)
+    uses = np.bincount(ids[:n_local], minlength=len(order))
+    return (pairs[first[order[:ne]]], ids[:n_local].reshape(-1, 3), uses,
+            ids[n_local:])
 
 
 def make_unit_square(n):
@@ -225,42 +239,28 @@ def make_unit_square(n):
     def vid(i, j):
         return j * (n + 1) + i
 
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            if (i + j) % 2 == 0:
-                triangles.append((a, b, c))
-                triangles.append((a, c, d))
-            else:
-                triangles.append((a, b, d))
-                triangles.append((b, c, d))
+    # Cell (i, j), row by row, has corners a, b, c, d counterclockwise.
+    j, i = np.divmod(np.arange(n * n), n)
+    a = vid(i, j)
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    even = ((i + j) % 2 == 0)[:, None]
+    triangles = np.stack([
+        np.where(even, np.column_stack([a, b, c]), np.column_stack([a, b, d])),
+        np.where(even, np.column_stack([a, c, d]), np.column_stack([b, c, d])),
+    ], axis=1).reshape(-1, 3)
 
-    edges, markers, normals = [], [], []
-    for i in range(n):                          # bottom, left to right
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        markers.append(MARKER_BOTTOM)
-        normals.append((0.0, -1.0))
-    for j in range(n):                          # right, upward
-        edges.append((vid(n, j), vid(n, j + 1)))
-        markers.append(MARKER_RIGHT)
-        normals.append((1.0, 0.0))
-    for i in range(n):                          # top, right to left
-        edges.append((vid(n - i, n), vid(n - i - 1, n)))
-        markers.append(MARKER_TOP)
-        normals.append((0.0, 1.0))
-    for j in range(n):                          # left, downward
-        edges.append((vid(0, n - j), vid(0, n - j - 1)))
-        markers.append(MARKER_LEFT)
-        normals.append((-1.0, 0.0))
-
-    return TriMesh(vertices, np.array(triangles), np.array(edges),
-                   np.array(markers), np.array(normals),
-                   np.zeros(len(edges)), SQUARE,
-                   metadata={"n": n})
+    k = np.arange(n)
+    edges = np.concatenate([
+        np.column_stack([vid(k, 0), vid(k + 1, 0)]),            # bottom, left to right
+        np.column_stack([vid(n, k), vid(n, k + 1)]),            # right, upward
+        np.column_stack([vid(n - k, n), vid(n - k - 1, n)]),    # top, right to left
+        np.column_stack([vid(0, n - k), vid(0, n - k - 1)]),    # left, downward
+    ])
+    markers = np.repeat([MARKER_BOTTOM, MARKER_RIGHT, MARKER_TOP, MARKER_LEFT], n)
+    normals = np.repeat([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], n,
+                        axis=0)
+    return TriMesh(vertices, triangles, edges, markers, normals,
+                   np.zeros(len(edges)), SQUARE, metadata={"n": n})
 
 
 def make_disk(level, radius=1.0):
@@ -330,13 +330,14 @@ def make_disk(level, radius=1.0):
                    metadata={"level": level, "radius": radius})
 
 
+@dataclass(frozen=True)
 class BoundaryFrameTable:
     """Per-boundary-vertex frames averaged from the adjacent edges.
 
     Attributes
     ----------
     vertex_ids : (nb,) int array
-        Boundary vertex indices, in boundary-walk order.
+        Boundary vertex indices, increasing.
     normals, tangents : (nb, 2) float arrays
         Averaged unit outward normal and its +90 degree rotation.
     corner : (nb,) bool array
@@ -348,12 +349,10 @@ class BoundaryFrameTable:
     are never corners; those frames live on the mesh itself.
     """
 
-    def __init__(self, vertex_ids, normals, tangents, corner):
-        self.vertex_ids = vertex_ids
-        self.normals = normals
-        self.tangents = tangents
-        self.corner = corner
-        self.row_of = {int(v): k for k, v in enumerate(vertex_ids)}
+    vertex_ids: np.ndarray
+    normals: np.ndarray
+    tangents: np.ndarray
+    corner: np.ndarray
 
 
 def boundary_frames(mesh, angle_tol=1e-6):
@@ -364,24 +363,19 @@ def boundary_frames(mesh, angle_tol=1e-6):
     radians.  On curved boundaries the per-edge turn angle is geometry,
     not a corner, so curvature-tagged edges never produce corner flags.
     """
-    be = mesh.boundary_edges
-    incoming = {int(b): k for k, (a, b) in enumerate(be)}
-    outgoing = {int(a): k for k, (a, b) in enumerate(be)}
-    vertex_ids = np.array(sorted(outgoing.keys()))
-
-    normals = np.empty((len(vertex_ids), 2))
-    corner = np.zeros(len(vertex_ids), dtype=bool)
-    for row, v in enumerate(vertex_ids):
-        e_in = incoming[int(v)]
-        e_out = outgoing[int(v)]
-        n1 = mesh.boundary_normals[e_in]
-        n2 = mesh.boundary_normals[e_out]
-        avg = n1 + n2
-        normals[row] = avg / np.hypot(*avg)
-        smooth = mesh.boundary_kappa[e_in] > 0.0 and mesh.boundary_kappa[e_out] > 0.0
-        if not smooth:
-            angle = np.arctan2(abs(n1[0] * n2[1] - n1[1] * n2[0]), np.dot(n1, n2))
-            corner[row] = angle > angle_tol
+    be = mesh.boundary_edges[::-1]
+    # The last edge out of and into each vertex; one each on a simple loop.
+    vertex_ids, e_out = np.unique(be[:, 0], return_index=True)
+    e_in = np.unique(be[:, 1], return_index=True)[1]
+    e_out, e_in = len(be) - 1 - e_out, len(be) - 1 - e_in
+    n1 = mesh.boundary_normals[e_in]
+    n2 = mesh.boundary_normals[e_out]
+    avg = n1 + n2
+    normals = avg / np.hypot(avg[:, 0], avg[:, 1])[:, None]
+    smooth = (mesh.boundary_kappa[e_in] > 0.0) & (mesh.boundary_kappa[e_out] > 0.0)
+    angle = np.arctan2(np.abs(n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]),
+                       n1[:, 0] * n2[:, 0] + n1[:, 1] * n2[:, 1])
+    corner = ~smooth & (angle > angle_tol)
     return BoundaryFrameTable(vertex_ids, normals, _rot90(normals), corner)
 
 

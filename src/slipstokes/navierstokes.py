@@ -13,7 +13,8 @@ GMRES preconditioned with the Stokes factors (``saddle.krylov_solve``):
 the preconditioned operator is the identity plus the convection's
 relative size, so few iterations are needed (Elman, Silvester and Wathen,
 *Finite Elements and Fast Iterative Solvers*, ch. 8; Knoll and Keyes,
-J. Comput. Phys. 193 (2004) on lagged preconditioners).
+J. Comput. Phys. 193 (2004) on lagged preconditioners).  A sweep GMRES
+cannot settle is refactored, and its factors precondition later sweeps.
 """
 
 import csv
@@ -99,7 +100,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None, quad_order=6):
     ``K + C(u_k)`` (``C`` in the velocity block) by GMRES on the Stokes
     factors, warm-started from the previous solution, under the
     ``RESIDUAL_RTOL`` gate; a sweep that GMRES cannot settle within its
-    cap is refactored through the full gate.
+    cap is refactored through the full gate, for the later sweeps too.
 
     Why the Stokes gate covers each sweep: ``A`` (viscous plus friction,
     alpha >= 0) is symmetric positive semidefinite, and ``C`` is skew.
@@ -158,7 +159,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None, quad_order=6):
     first_increment = None
     for it in range(1, opts.max_iterations + 1):
         system = picard_system(u)
-        x, iterations = krylov_solve(system, lu, x)
+        x, iterations, lu = krylov_solve(system, lu, x)
         log.krylov.append(iterations)
         u_new, p, _ = plan.reconstruct(x)
         if opts.damping != 1.0:
@@ -190,7 +191,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None, quad_order=6):
         # One undamped polish so the returned pair solves its own
         # linearization exactly; the increment is already below tolerance.
         system = picard_system(u)
-        x, iterations = krylov_solve(system, lu, x)
+        x, iterations, lu = krylov_solve(system, lu, x)
         log.krylov.append(iterations)
         u, p, _ = plan.reconstruct(x)
     del lu

@@ -24,7 +24,8 @@ Each gate exists once: ``factorize`` is the gated factorization,
 ``factor_solve`` the two in a row.  ``krylov_solve`` reuses factors that
 passed ``factorize`` for a nearby matrix: GMRES, preconditioned with them,
 under the same residual gate, and a refactorization through
-``factor_solve`` when GMRES does not converge within its cap.
+``factorize`` when GMRES does not converge within its cap, whose factors
+it hands back.
 """
 
 from dataclasses import dataclass
@@ -180,15 +181,16 @@ def krylov_solve(system, lu, x0):
     """GMRES on ``system``, preconditioned by ``lu`` and warm-started at ``x0``.
 
     ``lu`` factors a nearby matrix ``M`` that passed ``factorize``; in the
-    Picard iteration, the bordered Stokes matrix.  The correction is
+    Picard iteration, the latest gated matrix.  The correction is
     ``x = x0 + M^-1 z`` with ``z`` from GMRES on ``K M^-1 z = b - K x0``.
     This is right preconditioning, so the residual GMRES minimizes is the
     true residual of ``x``.  One restart cycle of at most
     ``KRYLOV_MAXITER`` iterations aims at ``KRYLOV_RTOL * |b|``, and a
     result that reaches it then passes ``gated_solve``.  A solve that
-    misses it within the cap is refactored through ``factor_solve``
-    instead, so it gets the full singularity gate.  Returns
-    ``(x, iterations)``, with ``iterations`` None after such a fallback.
+    misses it within the cap is refactored through ``factorize`` instead,
+    so it gets the full singularity gate.  Returns ``(x, iterations,
+    lu)``; after such a fallback, ``iterations`` is None and ``lu`` the
+    new factors of ``K``, to precondition the caller's next solves.
     """
     K = system.matrix
     b = np.asarray(system.rhs, dtype=float)
@@ -200,6 +202,7 @@ def krylov_solve(system, lu, x0):
                          restart=KRYLOV_MAXITER, maxiter=1,
                          callback=residuals.append, callback_type="pr_norm")
     if info != 0:
-        return factor_solve(system), None
+        lu = factorize(K)
+        return gated_solve(system, lu.solve), None, lu
     x = x0 + lu.solve(z)
-    return gated_solve(system, lambda _: x), len(residuals)
+    return gated_solve(system, lambda _: x), len(residuals), lu

@@ -31,9 +31,9 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import fem, forms
-from .constraints import build_constraint_plan
+from .constraints import friction_vanishes
 from .errors import InvalidArgument, SingularSystem
-from .fields import ProblemData, rigid_rotation
+from .fields import rigid_rotation
 from .saddle import symmetric_lu
 
 FLOOR_FACTOR = 100.0
@@ -96,7 +96,8 @@ def korn_quotient_min(mesh, alpha=0.0, include_boundary_term=False):
     Values below the rank floor are reported as exactly 0.
     """
     fe = fem.build_taylor_hood(mesh)
-    plan = build_constraint_plan(fe, ProblemData(alpha=alpha))
+    friction_vanishes(fe, alpha)        # refuses a negative alpha
+    plan = fe.slip_plan()
     A = forms.assemble_viscous(fe)
     if include_boundary_term:
         A = A + forms.assemble_friction(fe, alpha)
@@ -124,7 +125,7 @@ def _divergence_schur(mesh, dense):
     solves with a dense Cholesky factorization.
     """
     fe = fem.build_taylor_hood(mesh)
-    plan = build_constraint_plan(fe, ProblemData(alpha=1.0))
+    plan = fe.slip_plan()
     K = plan.reduce(forms.assemble_velocity_h1(fe))
     T = plan.rotation
     B = (forms.assemble_divergence(fe) @ T).tocsr()[:, plan.free]
@@ -200,7 +201,7 @@ def beta_inequality_checks(mesh):
     if mesh.domain_tag != "disk":
         raise InvalidArgument("rotation-moment inequalities are disk statements")
     fe = fem.build_taylor_hood(mesh)
-    plan = build_constraint_plan(fe, ProblemData(alpha=0.0))
+    plan = fe.slip_plan()
     T = plan.rotation
     f = plan.free
     A_half = 0.5 * plan.reduce(forms.assemble_viscous(fe))

@@ -141,3 +141,8 @@ class TestSpectraCommand:
         lines = out.splitlines()
         assert lines[0].startswith("level")
         assert len(lines) == 3
+
+    def test_threads_flag_exits_2(self, capsys):
+        # The suite runs its levels in turn, so the flag had no effect.
+        code, _, _ = run(capsys, "spectra", "--levels", "4", "--threads", "2")
+        assert code == 2

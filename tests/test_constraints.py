@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
 from slipstokes import (ProblemData, boundary_frames, build_constraint_plan,
                         build_dirichlet_plan, build_taylor_hood, interpolate,
-                        make_disk, make_unit_square)
+                        korn_quotient_min, make_disk, make_unit_square,
+                        solve_stokes, stokes_mms)
 from slipstokes.constraints import ConstraintPlan, apply_plan
-from slipstokes import forms
+from slipstokes.errors import InvalidArgument
+from slipstokes.mesh import MARKER_CIRCLE
+from slipstokes import constraints, forms
 
 
 def setup(mesh, alpha=1.0, compatibility_mode=False):
@@ -57,7 +62,6 @@ class TestGuardActivation:
     def test_disk_frictionless_activates(self):
         fe, frames, plan = setup(make_disk(1), alpha=0.0)
         assert plan.guard is not None
-        assert plan.alpha_is_zero
         assert plan.labels == ("pressure_gauge", "kernel_guard")
 
     def test_disk_with_friction_does_not(self):
@@ -68,19 +72,74 @@ class TestGuardActivation:
     def test_square_frictionless_does_not(self):
         fe, frames, plan = setup(make_unit_square(3), alpha=0.0)
         assert plan.guard is None
-        assert plan.alpha_is_zero
+        assert plan.labels == ("pressure_gauge",)
 
     def test_tiny_alpha_counts_as_zero(self):
         fe, frames, plan = setup(make_disk(1), alpha=1e-15)
-        assert plan.alpha_is_zero
         assert plan.guard is not None
 
     def test_marker_dict_alpha(self):
+        mesh = make_disk(1)
+        fe, frames, plan = setup(mesh, alpha={MARKER_CIRCLE: 0.0})
+        assert plan.guard is not None
+        fe, frames, plan = setup(mesh, alpha={MARKER_CIRCLE: 1.0})
+        assert plan.guard is None
+
+
+class TestPlanSharing:
+    """The data-free part of the slip plan is built once per live system."""
+
+    def test_calls_share_the_mesh_parts(self):
+        fe = build_taylor_hood(make_unit_square(3))
+        a = build_constraint_plan(fe, ProblemData(alpha=1.0))
+        b = build_constraint_plan(fe, ProblemData(alpha=2.0))
+        assert a is b
+        for name in ("rotation", "eliminated", "free", "gauge"):
+            assert getattr(a, name) is getattr(b, name)
+
+    def test_disk_guard_is_the_only_data_dependent_part(self):
+        fe = build_taylor_hood(make_disk(1))
+        guarded = build_constraint_plan(fe, ProblemData(alpha=0.0))
+        plain = build_constraint_plan(fe, ProblemData(alpha=1.0))
+        differ = [f.name for f in dataclasses.fields(ConstraintPlan)
+                  if getattr(guarded, f.name) is not getattr(plain, f.name)]
+        assert differ == ["guard", "labels"]
+        assert plain.guard is None
+
+    def test_shared_arrays_are_read_only(self):
+        fe = build_taylor_hood(make_disk(1))
+        plan = build_constraint_plan(fe, ProblemData(alpha=0.0))
+        for array in (plan.rotation.data, plan.rotation.indices,
+                      plan.eliminated, plan.free, plan.gauge, plan.guard):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.free = None
+
+    def test_one_rotation_build_per_live_system(self, monkeypatch):
+        calls = []
+        build = constraints._rotation_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(constraints, "_rotation_matrix", counting)
+        mesh = make_unit_square(4)
+        fe = build_taylor_hood(mesh)     # held, so both solves share it
+        for alpha in (0.5, 3.0):
+            solve_stokes(mesh, stokes_mms(alpha=alpha)["data"])
+        assert len(calls) == 1
+        del fe
+
+    def test_negative_friction_still_refused(self):
         mesh = make_unit_square(3)
-        fe, frames, plan = setup(mesh, alpha={1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0})
-        assert plan.alpha_is_zero
-        fe, frames, plan = setup(mesh, alpha={1: 0.0, 2: 1.0, 3: 0.0, 4: 0.0})
-        assert not plan.alpha_is_zero
+        with pytest.raises(InvalidArgument):
+            solve_stokes(mesh, ProblemData(alpha=-1.0))
+        with pytest.raises(InvalidArgument):
+            korn_quotient_min(mesh, alpha=-1.0)
+        with pytest.raises(InvalidArgument):
+            korn_quotient_min(mesh, alpha=lambda p: -np.ones(len(p)))
 
 
 class TestDirichletPlan:

@@ -4,6 +4,7 @@ import pytest
 from slipstokes import (TriMesh, boundary_frames, make_disk, make_unit_square,
                         read_mesh, write_mesh)
 from slipstokes.errors import InvalidArgument, ParseError
+from slipstokes.mesh import FORMAT_HEADER, SQUARE, _edge_table
 
 
 def polygon_area(m_edges, radius):
@@ -127,11 +128,57 @@ class TestFrames:
             dots = (ft.normals * ft.tangents).sum(axis=1)
             assert np.abs(dots).max() < 1e-15
 
-    def test_row_lookup(self):
-        m = make_disk(1)
-        ft = boundary_frames(m)
-        for row, vid in enumerate(ft.vertex_ids):
-            assert ft.row_of[int(vid)] == row
+
+
+def edge_oracle(mesh):
+    """The dict walk the vectorized edge table replaced, kept as its oracle."""
+    edge_of, edges, uses = {}, [], []
+    tri_edges = np.empty((mesh.num_triangles, 3), dtype=np.int64)
+    for ti, (a, b, c) in enumerate(mesh.triangles):
+        for k, (i, j) in enumerate(((a, b), (b, c), (c, a))):
+            key = (min(i, j), max(i, j))
+            if key not in edge_of:
+                edge_of[key] = len(edges)
+                edges.append(key)
+                uses.append(0)
+            uses[edge_of[key]] += 1
+            tri_edges[ti, k] = edge_of[key]
+    boundary = [edge_of[(min(a, b), max(a, b))] for a, b in mesh.boundary_edges]
+    return np.array(edges, dtype=np.int64), tri_edges, np.array(uses), boundary
+
+
+class TestEdgeTable:
+    def check(self, mesh):
+        edges, tri_edges, uses, boundary = edge_oracle(mesh)
+        assert mesh.edges.dtype == mesh.triangle_edges.dtype == np.int64
+        assert np.array_equal(mesh.edges, edges)
+        assert np.array_equal(mesh.triangle_edges, tri_edges)
+        assert np.array_equal(mesh.boundary_edge_ids, boundary)
+        table = _edge_table(mesh.triangles, mesh.boundary_edges,
+                            mesh.num_vertices)
+        assert np.array_equal(table[2], uses)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_oracle_on_squares(self, n):
+        self.check(make_unit_square(n))
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_matches_oracle_on_disks(self, level):
+        self.check(make_disk(level))
+
+    def test_matches_oracle_after_read_mesh(self, tmp_path):
+        for k, mesh in enumerate((make_unit_square(3), make_disk(2, 1.5))):
+            path = tmp_path / f"{k}.msh"
+            write_mesh(path, mesh)
+            again = read_mesh(path)
+            self.check(again)
+            assert np.array_equal(again.edges, mesh.edges)
+
+    def test_table_is_frozen(self):
+        m = make_unit_square(2)
+        for array in (m.edges, m.triangle_edges, m.boundary_edge_ids):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestFileFormat:
@@ -179,7 +226,90 @@ class TestFileFormat:
             read_mesh(bad)
 
 
+def _square_parts(n=2):
+    m = make_unit_square(n)
+    return {"vertices": m.vertices.copy(), "triangles": m.triangles.copy(),
+            "boundary_edges": m.boundary_edges.copy(),
+            "boundary_markers": m.boundary_markers.copy(),
+            "boundary_normals": m.boundary_normals.copy(),
+            "boundary_kappa": m.boundary_kappa.copy(), "domain_tag": SQUARE}
+
+
+def _declared_twice(parts):
+    parts["boundary_edges"][1] = parts["boundary_edges"][0]
+
+
+def _missing_edge(parts):
+    for key in ("boundary_edges", "boundary_markers", "boundary_normals",
+                "boundary_kappa"):
+        parts[key] = parts[key][1:]
+
+
+def _edge_of_two_triangles(parts):
+    parts["boundary_edges"][0] = (0, 4)       # the first cell's diagonal
+
+
+def _edge_of_no_triangle(parts):
+    parts["boundary_edges"][0] = (0, 8)       # corner to corner
+
+
+def _open_loop(parts):
+    parts["boundary_edges"][0] = parts["boundary_edges"][0][::-1]
+
+
+def _inward_normal(parts):
+    parts["boundary_normals"][0] *= -1.0
+
+
+REFUSALS = [
+    (_declared_twice, r"^boundary edge \(np.int64\(0\), np.int64\(1\)\) "
+                      r"declared twice$"),
+    (_missing_edge, r"^declared boundary does not match triangulation "
+                    r"boundary$"),
+    (_edge_of_two_triangles, r"^boundary edge \(np.int64\(0\), "
+                             r"np.int64\(4\)\) not on exactly one triangle$"),
+    (_edge_of_no_triangle, r"^boundary edge \(np.int64\(0\), "
+                           r"np.int64\(8\)\) not on exactly one triangle$"),
+    (_open_loop, r"^boundary edges do not form closed loops$"),
+    (_inward_normal, r"^boundary normal does not point outward$"),
+]
+
+
+def _write_raw(path, parts):
+    """``write_mesh`` for arrays that make no valid mesh."""
+    lines = [FORMAT_HEADER, f"domain {parts['domain_tag']}",
+             f"vertices {len(parts['vertices'])}"]
+    lines += [f"{x:.17g} {y:.17g}" for x, y in parts["vertices"]]
+    lines.append(f"triangles {len(parts['triangles'])}")
+    lines += [f"{a} {b} {c}" for a, b, c in parts["triangles"]]
+    lines.append(f"boundary {len(parts['boundary_edges'])}")
+    for (a, b), mk, (nx, ny), kappa in zip(
+            parts["boundary_edges"], parts["boundary_markers"],
+            parts["boundary_normals"], parts["boundary_kappa"]):
+        lines.append(f"{a} {b} {mk} {nx:.17g} {ny:.17g} {kappa:.17g}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestValidation:
+    @pytest.mark.parametrize("breaks, message", REFUSALS,
+                             ids=[b.__name__[1:] for b, _ in REFUSALS])
+    def test_refusal_messages(self, tmp_path, breaks, message):
+        parts = _square_parts()
+        breaks(parts)
+        with pytest.raises(InvalidArgument, match=message):
+            TriMesh(**parts)
+        path = tmp_path / "bad.msh"
+        _write_raw(path, parts)
+        with pytest.raises(ParseError, match="invalid mesh: "
+                           + message.lstrip("^")):
+            read_mesh(path)
+
+    def test_raw_writer_matches_write_mesh(self, tmp_path):
+        path = tmp_path / "good.msh"
+        _write_raw(path, _square_parts())
+        write_mesh(tmp_path / "ref.msh", make_unit_square(2))
+        assert path.read_bytes() == (tmp_path / "ref.msh").read_bytes()
+
     def test_rejects_inverted_triangle(self):
         m = make_unit_square(2)
         tris = m.triangles.copy()

@@ -55,21 +55,26 @@ class TestKrylovSolve:
     def test_matches_direct_solve_on_nearby_factors(self):
         stokes, system = self.skew_perturbed(seed=3, size=2.0)
         lu = factorize(stokes.matrix)
-        x, iterations = krylov_solve(system, lu, np.zeros(len(system.rhs)))
+        x, iterations, kept = krylov_solve(system, lu,
+                                           np.zeros(len(system.rhs)))
         ref = factor_solve(system)
-        assert 0 < iterations <= saddle.KRYLOV_MAXITER
+        assert 0 < iterations <= saddle.KRYLOV_MAXITER and kept is lu
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
         # A converged warm start needs no iteration.
-        again, iterations = krylov_solve(system, lu, ref)
-        assert iterations == 0 and np.array_equal(again, ref)
+        again, iterations, kept = krylov_solve(system, lu, ref)
+        assert iterations == 0 and np.array_equal(again, ref) and kept is lu
 
     def test_capped_solve_falls_back_to_factor_solve(self, monkeypatch):
         stokes, system = self.skew_perturbed(seed=5, size=2.0)
         monkeypatch.setattr(saddle, "KRYLOV_MAXITER", 1)
-        x, iterations = krylov_solve(system, factorize(stokes.matrix),
-                                     np.zeros(len(system.rhs)))
+        lu = factorize(stokes.matrix)
+        x, iterations, fresh = krylov_solve(system, lu,
+                                            np.zeros(len(system.rhs)))
         assert iterations is None
         assert np.array_equal(x, factor_solve(system))
+        # The fallback hands back the factors of the system it solved.
+        assert fresh is not lu
+        assert np.array_equal(fresh.solve(system.rhs), x)
 
 
 class TestFailureModes:
