@@ -94,7 +94,6 @@ def build_parser():
     exp.add_argument("--alpha-schedule", type=_float_list, default=None)
     exp.add_argument("--domain", choices=("square", "disk"), default=None)
     exp.add_argument("--amplitude", type=float, default=None)
-    exp.add_argument("--threads", type=int, default=1)
 
     spec = sub.add_parser("spectra", help="Korn and inf-sup table")
     spec.add_argument("--domain", choices=("square", "disk"),
@@ -195,7 +194,6 @@ def _cmd_experiment(args):
         cfg.alpha_schedule = args.alpha_schedule
     if args.amplitude is not None:
         cfg.amplitude = args.amplitude
-    cfg.threads = args.threads
     report = run_experiment(cfg)
     target = args.out or outdir
     if target:

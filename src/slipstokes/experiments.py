@@ -24,7 +24,6 @@ import io
 import json
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -60,7 +59,6 @@ class ExperimentConfig:
     alpha: float = 1.0
     alpha_schedule: tuple = ()
     data: str = "default"
-    threads: int = 1
     amplitude: float | None = None
     picard: PicardOptions = field(default_factory=PicardOptions)
 
@@ -75,8 +73,6 @@ class ExperimentConfig:
             raise InvalidArgument(f"bad level list {self.levels!r}")
         if list(self.levels) != sorted(set(self.levels)):
             raise InvalidArgument("levels must be strictly increasing")
-        if self.threads < 1:
-            raise InvalidArgument("threads must be at least 1")
         if self.alpha < 0:
             raise InvalidArgument("friction values must be nonnegative")
         return self
@@ -164,18 +160,6 @@ def _make_mesh(cfg, level):
     return make_disk(level, cfg.radius)
 
 
-def _map_schedule(cfg, fn, items):
-    """Apply fn over schedule items, optionally with a thread pool.
-
-    Results keep schedule order, so reports do not depend on the thread
-    count; each item is solved independently and deterministically.
-    """
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def run_mms(cfg):
     wall = {}
     case = stokes_mms(alpha=cfg.alpha,
@@ -222,16 +206,15 @@ def run_alpha_to_zero(cfg):
     sol0 = solve_stokes(mesh, data0)
     wall["reference"] = time.perf_counter() - t0
 
-    def one(alpha):
+    t0 = time.perf_counter()
+    rows = []
+    for alpha in schedule:
         data = ProblemData(f=base.f, F=base.F, h=base.h, alpha=float(alpha))
         sol = solve_stokes(mesh, data)
         diff = sol.u - sol0.u
         err = float(np.sqrt(max(diff @ (H1 @ diff), 0.0)))
-        return (float(alpha), err, sol.diagnostics["h1_norm"],
-                sol.diagnostics["energy_residual"])
-
-    t0 = time.perf_counter()
-    rows = _map_schedule(cfg, one, list(schedule))
+        rows.append((float(alpha), err, sol.diagnostics["h1_norm"],
+                     sol.diagnostics["energy_residual"]))
     wall["sweep"] = time.perf_counter() - t0
     alphas = [r[0] for r in rows]
     errs = [r[1] for r in rows]
@@ -257,16 +240,16 @@ def run_alpha_to_infinity(cfg):
     ud_norm = float(np.sqrt(max(ud @ (H1 @ ud), 0.0)))
     wall["dirichlet_reference"] = time.perf_counter() - t0
 
-    def one(alpha):
+    t0 = time.perf_counter()
+    rows = []
+    for alpha in schedule:
         data = ProblemData(f=base.f, F=base.F, h=base.h, alpha=float(alpha))
         sol = solve_stokes(mesh, data)
         diff = sol.u - ud
         err = float(np.sqrt(max(diff @ (H1 @ diff), 0.0)))
-        return (float(alpha), err, sol.diagnostics["boundary_tangential_l2"],
-                sol.diagnostics["energy_residual"])
-
-    t0 = time.perf_counter()
-    rows = _map_schedule(cfg, one, list(schedule))
+        rows.append((float(alpha), err,
+                     sol.diagnostics["boundary_tangential_l2"],
+                     sol.diagnostics["energy_residual"]))
     wall["sweep"] = time.perf_counter() - t0
     alphas = [r[0] for r in rows]
     fits = {
@@ -288,17 +271,14 @@ def run_uniform_bound(cfg):
     base = _sweep_data(cfg)
     schedule = cfg.alpha_schedule or (0.0, 1e-2, 1.0, 1e2, 1e4, 1e6)
 
-    def one(alpha):
+    t0 = time.perf_counter()
+    rows = []
+    for alpha in schedule:
         data = ProblemData(f=base.f, F=base.F, h=base.h, alpha=float(alpha),
                            compatibility_mode=True)
-        sol = solve_stokes(mesh, data)
-        size = sol.diagnostics["h1_norm"] + sol.diagnostics["pressure_l2"]
-        return (float(alpha), size, sol.diagnostics["h1_norm"],
-                sol.diagnostics["pressure_l2"],
-                sol.diagnostics["energy_residual"])
-
-    t0 = time.perf_counter()
-    rows = _map_schedule(cfg, one, list(schedule))
+        d = solve_stokes(mesh, data).diagnostics
+        rows.append((float(alpha), d["h1_norm"] + d["pressure_l2"],
+                     d["h1_norm"], d["pressure_l2"], d["energy_residual"]))
     wall["sweep"] = time.perf_counter() - t0
     sizes = [r[1] for r in rows]
     fits = {"uniformity": {"max_over_min": max(sizes) / min(sizes),
@@ -346,8 +326,7 @@ def run_spectra_suite(cfg):
         mesh = _make_mesh(cfg, level)
         fe = fem.build_taylor_hood(mesh)   # held: the three calls share it
         korn0 = korn_quotient_min(mesh, alpha=0.0)
-        korn1 = korn_quotient_min(mesh, alpha=cfg.alpha if cfg.alpha > 0 else 1.0,
-                                  include_boundary_term=True)
+        korn1 = korn_quotient_min(mesh, alpha=cfg.alpha if cfg.alpha > 0 else 1.0)
         gamma = infsup_constant(mesh)
         del fe
         wall[f"level_{level}"] = time.perf_counter() - t0
@@ -492,7 +471,6 @@ def parse_config(path, kind=None):
         ("alpha", "value"): lambda v: setattr(cfg, "alpha", float(v)),
         ("alpha", "schedule"): lambda v: setattr(
             cfg, "alpha_schedule", tuple(float(s) for s in v.split(","))),
-        ("solver", "threads"): lambda v: setattr(cfg, "threads", int(v)),
         ("solver", "max_iterations"): lambda v: setattr(
             cfg.picard, "max_iterations", int(v)),
         ("solver", "tol"): lambda v: setattr(cfg.picard, "tol", float(v)),

@@ -5,7 +5,7 @@ sets; the constraints module rotates and reduces them.  Conventions:
 
 * ``assemble_viscous``:      v^T A w   = 2 int D(v) : D(w)
 * ``assemble_friction``:     v^T M w   = int_Gamma alpha (v.t)(w.t)
-* ``assemble_divergence``:   q^T B v   = int q div(v)
+* ``assemble_divergence``:   q^T B v   = -int q div(v)
 * ``assemble_load``:         l^T v     = int f.v - int F:grad(v) + int_Gamma h.v
 * ``assemble_convection_skew``: v^T C(w) u = (1/2) int [(w.grad)u.v - (w.grad)v.u]
 
@@ -21,81 +21,82 @@ from .errors import InvalidArgument, NumericalError
 from .fields import eval_boundary_field, sample_alpha
 
 
-def _scatter(rows, cols, data, shape):
-    mat = sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
-                            shape=shape).tocsr()
+def _scatter(local, rows, cols, shape):
+    """Sum per-element blocks ``local`` (ne, a, b) into a CSR matrix.
+
+    ``rows`` (ne, a) and ``cols`` (ne, b) are the elements' dof lists.
+    """
+    mat = sparse.coo_matrix(
+        (local.ravel(), (np.broadcast_to(rows[:, :, None], local.shape).ravel(),
+                         np.broadcast_to(cols[:, None, :], local.shape).ravel())),
+        shape=shape).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
 
 
-def _vector_dofs(fe):
-    """Per-triangle velocity dof list, x components then y, shape (nt, 12)."""
+def _vector_dofs(fe, nodes):
+    """Velocity dofs of per-element node lists (ne, k): x then y, (ne, 2k)."""
+    return np.hstack([nodes, nodes + fe.num_velocity_nodes])
+
+
+def _componentwise(fe, local, skew=False):
+    """The scalar P2 form of blocks ``local`` (nt, 6, 6) on each component.
+
+    No x-y coupling is stored.  ``skew`` replaces the scalar matrix S by
+    (S - S^T)/2 first.
+    """
     n = fe.num_velocity_nodes
-    return np.hstack([fe.tri_vnodes, fe.tri_vnodes + n])
+    s = _scatter(local, fe.tri_vnodes, fe.tri_vnodes, (n, n))
+    if skew:
+        s = 0.5 * (s - s.T)
+    mat = sparse.block_diag((s, s), format="csr")
+    mat.sort_indices()
+    return mat
 
 
-def _scatter_vector_block(fe, local):
-    """Sum per-triangle (12, 12) velocity blocks into a (2N, 2N) CSR matrix."""
-    dofs = _vector_dofs(fe)
-    n = fe.num_velocity_dofs
-    return _scatter(dofs[:, :, None] * np.ones((1, 1, 12), dtype=np.int64),
-                    dofs[:, None, :] * np.ones((1, 12, 1), dtype=np.int64),
-                    local, (n, n))
+def _weights(fe, rule):
+    """Quadrature weights times the Jacobian determinant, shape (nq, nt)."""
+    return rule.tri_weights[:, None] * fe.det[None, :]
+
+
+def _p2_mass(fe, rule):
+    vals = fem.p2_values(rule.tri_points)
+    return np.einsum("qt,qi,qj->tij", _weights(fe, rule), vals, vals)
 
 
 def assemble_viscous(fe, quad_order=4):
     """Twice the strain inner product; kernel = {constants, rigid rotation}."""
     rule = fem.quadrature(quad_order)
     grads = fe.physical_grads(rule)                  # (nq, nt, 6, 2)
-    w = rule.tri_weights[:, None] * fe.det[None, :]  # (nq, nt)
-    gx = grads[..., 0]
-    gy = grads[..., 1]
-    kxx = np.einsum("qt,qti,qtj->tij", w, gx, gx) * 2 \
-        + np.einsum("qt,qti,qtj->tij", w, gy, gy)
-    kyy = np.einsum("qt,qti,qtj->tij", w, gy, gy) * 2 \
-        + np.einsum("qt,qti,qtj->tij", w, gx, gx)
-    # row = test (0, phi_i), col = trial (phi_j, 0): int d1(phi_i) d2(phi_j)
-    kyx = np.einsum("qt,qti,qtj->tij", w, gx, gy)
-    local = np.block([[kxx, np.swapaxes(kyx, 1, 2)], [kyx, kyy]])
-    return _scatter_vector_block(fe, local)
+    # k[t, a, b] = int d_a(phi_i) d_b(phi_j): rows test, columns trial
+    wg = _weights(fe, rule)[:, :, None, None] * grads
+    k = np.einsum("qtia,qtjb->tabij", wg, grads)
+    local = np.block([[2.0 * k[:, 0, 0] + k[:, 1, 1], k[:, 1, 0]],
+                      [k[:, 0, 1], 2.0 * k[:, 1, 1] + k[:, 0, 0]]])
+    dofs = _vector_dofs(fe, fe.tri_vnodes)
+    return _scatter(local, dofs, dofs, (fe.num_velocity_dofs,) * 2)
 
 
 def assemble_velocity_mass(fe, quad_order=4):
     """Vector L2 mass matrix."""
-    rule = fem.quadrature(quad_order)
-    vals = fem.p2_values(rule.tri_points)
-    w = rule.tri_weights[:, None] * fe.det[None, :]
-    m = np.einsum("qt,qi,qj->tij", w, vals, vals)
-    z = np.zeros_like(m)
-    local = np.block([[m, z], [z, m]])
-    return _scatter_vector_block(fe, local)
+    return _componentwise(fe, _p2_mass(fe, fem.quadrature(quad_order)))
 
 
 def assemble_velocity_h1(fe, quad_order=4):
     """Full H1 Gram matrix: L2 mass plus the full-gradient stiffness."""
     rule = fem.quadrature(quad_order)
-    vals = fem.p2_values(rule.tri_points)
     grads = fe.physical_grads(rule)
-    w = rule.tri_weights[:, None] * fe.det[None, :]
-    m = np.einsum("qt,qi,qj->tij", w, vals, vals)
-    k = np.einsum("qt,qtia,qtja->tij", w, grads, grads)
-    blk = m + k
-    z = np.zeros_like(blk)
-    local = np.block([[blk, z], [z, blk]])
-    return _scatter_vector_block(fe, local)
+    k = np.einsum("qt,qtia,qtja->tij", _weights(fe, rule), grads, grads)
+    return _componentwise(fe, _p2_mass(fe, rule) + k)
 
 
 def assemble_pressure_mass(fe, quad_order=4):
     rule = fem.quadrature(quad_order)
     vals = fem.p1_values(rule.tri_points)
-    w = rule.tri_weights[:, None] * fe.det[None, :]
-    local = np.einsum("qt,qi,qj->tij", w, vals, vals)
-    dofs = fe.tri_pnodes
+    local = np.einsum("qt,qi,qj->tij", _weights(fe, rule), vals, vals)
     n = fe.num_pressure_dofs
-    return _scatter(dofs[:, :, None] * np.ones((1, 1, 3), dtype=np.int64),
-                    dofs[:, None, :] * np.ones((1, 3, 1), dtype=np.int64),
-                    local, (n, n))
+    return _scatter(local, fe.tri_pnodes, fe.tri_pnodes, (n, n))
 
 
 def assemble_friction(fe, alpha, quad_order=4):
@@ -108,22 +109,14 @@ def assemble_friction(fe, alpha, quad_order=4):
     pts = fe.boundary_quad_coords(rule)                    # (nb, ns, 2)
     avals = sample_alpha(alpha, pts, mesh.boundary_markers)
     shapes = fem.segment_p2_values(rule.seg_points)        # (ns, 3)
-    lengths = mesh.boundary_lengths()
-    ww = lengths[:, None] * rule.seg_weights[None, :] * avals   # (nb, ns)
+    ww = mesh.boundary_lengths()[:, None] * rule.seg_weights[None, :] * avals
     s = np.einsum("bs,si,sj->bij", ww, shapes, shapes)     # (nb, 3, 3)
-    tn = fe.boundary_trace_nodes()                         # (nb, 3)
     t = mesh.boundary_tangents
-    nvn = fe.num_velocity_nodes
-    rows, cols, data = [], [], []
-    for a in range(2):
-        for b in range(2):
-            block = s * (t[:, a] * t[:, b])[:, None, None]
-            rows.append(np.broadcast_to((tn + a * nvn)[:, :, None], block.shape))
-            cols.append(np.broadcast_to((tn + b * nvn)[:, None, :], block.shape))
-            data.append(block)
-    return _scatter(np.concatenate([r.ravel() for r in rows]),
-                    np.concatenate([c.ravel() for c in cols]),
-                    np.concatenate([d.ravel() for d in data]), (n, n))
+    # (t_a t_b) s_ij on the dofs [x nodes, y nodes] of the edge's trace
+    local = (t[:, :, None, None, None] * t[:, None, None, :, None]
+             * s[:, None, :, None, :]).reshape(-1, 6, 6)
+    dofs = _vector_dofs(fe, fe.boundary_trace_nodes())
+    return _scatter(local, dofs, dofs, (n, n))
 
 
 def assemble_divergence(fe, quad_order=4):
@@ -135,33 +128,36 @@ def assemble_divergence(fe, quad_order=4):
     rule = fem.quadrature(quad_order)
     pvals = fem.p1_values(rule.tri_points)
     grads = fe.physical_grads(rule)
-    w = -rule.tri_weights[:, None] * fe.det[None, :]
-    bx = np.einsum("qt,qi,qtj->tij", w, pvals, grads[..., 0])   # (nt, 3, 6)
-    by = np.einsum("qt,qi,qtj->tij", w, pvals, grads[..., 1])
-    local = np.concatenate([bx, by], axis=2)                    # (nt, 3, 12)
-    prow = fe.tri_pnodes[:, :, None] * np.ones((1, 1, 12), dtype=np.int64)
-    vcol = _vector_dofs(fe)[:, None, :] * np.ones((1, 3, 1), dtype=np.int64)
-    return _scatter(prow, vcol, local,
+    local = -np.einsum("qt,qi,qtja->tiaj", _weights(fe, rule), pvals,
+                       grads).reshape(-1, 3, 12)
+    return _scatter(local, fe.tri_pnodes, _vector_dofs(fe, fe.tri_vnodes),
                     (fe.num_pressure_dofs, fe.num_velocity_dofs))
+
+
+def _boundary_pairing(fe, rule, field):
+    """Vector g with g^T v = int_Gamma field . v ds over the P2 traces.
+
+    ``field`` holds (nb, ns, 2) samples at the boundary points of ``rule``.
+    """
+    shapes = fem.segment_p2_values(rule.seg_points)       # (ns, 3)
+    ww = fe.mesh.boundary_lengths()[:, None] * rule.seg_weights[None, :]
+    local = np.einsum("bs,bsc,si->bci", ww, field, shapes)
+    return np.bincount(_vector_dofs(fe, fe.boundary_trace_nodes()).ravel(),
+                       local.ravel(), minlength=fe.num_velocity_dofs)
 
 
 def assemble_load(fe, data, quad_order=6):
     """Right-hand side vector for the momentum equation."""
     rule = fem.quadrature(quad_order)
-    n = fe.num_velocity_nodes
-    ell = np.zeros(2 * n)
-
     vals = fem.p2_values(rule.tri_points)
-    w = rule.tri_weights[:, None] * fe.det[None, :]
+    w = _weights(fe, rule)
     pts = fe.quad_coords(rule)
     flat = pts.reshape(-1, 2)
+    local = np.zeros((len(fe.tri_vnodes), 2, 6))      # [triangle, component, node]
 
     if data.f is not None:
         fv = fem._eval_vector(data.f, flat).reshape(pts.shape)
-        lx = np.einsum("qt,qt,qi->ti", w, fv[..., 0], vals)
-        ly = np.einsum("qt,qt,qi->ti", w, fv[..., 1], vals)
-        np.add.at(ell, fe.tri_vnodes, lx)
-        np.add.at(ell, fe.tri_vnodes + n, ly)
+        local += np.einsum("qt,qtc,qi->tci", w, fv, vals)
 
     if data.F is not None:
         if callable(data.F):
@@ -172,27 +168,18 @@ def assemble_load(fe, data, quad_order=6):
             Fv = np.broadcast_to(np.asarray(data.F, dtype=float),
                                  (flat.shape[0], 2, 2))
         Fv = Fv.reshape(pts.shape[0], pts.shape[1], 2, 2)
-        grads = fe.physical_grads(rule)
-        # v = (phi_i, 0): F : grad(v) = F[0,0] d1(phi) + F[0,1] d2(phi)
-        lx = -np.einsum("qt,qtia->ti", w, grads * Fv[:, :, None, 0, :])
-        ly = -np.einsum("qt,qtia->ti", w, grads * Fv[:, :, None, 1, :])
-        np.add.at(ell, fe.tri_vnodes, lx)
-        np.add.at(ell, fe.tri_vnodes + n, ly)
+        # v = phi_i e_c: F : grad(v) = F[c, b] d_b(phi_i)
+        local -= np.einsum("qt,qtcb,qtib->tci", w, Fv, fe.physical_grads(rule))
 
+    ell = np.bincount(_vector_dofs(fe, fe.tri_vnodes).ravel(), local.ravel(),
+                      minlength=fe.num_velocity_dofs)
     if data.h is not None:
         mesh = fe.mesh
-        bpts = fe.boundary_quad_coords(rule)
-        ht = eval_boundary_field(data.h, bpts, mesh.boundary_normals,
+        ht = eval_boundary_field(data.h, fe.boundary_quad_coords(rule),
+                                 mesh.boundary_normals,
                                  mesh.boundary_tangents)        # (nb, ns)
-        shapes = fem.segment_p2_values(rule.seg_points)
-        lengths = mesh.boundary_lengths()
-        ww = lengths[:, None] * rule.seg_weights[None, :]
-        tn = fe.boundary_trace_nodes()
-        for comp in range(2):
-            contrib = np.einsum("bs,bs,si->bi",
-                                ww, ht * mesh.boundary_tangents[:, comp:comp + 1],
-                                shapes)
-            np.add.at(ell, tn + comp * n, contrib)
+        ell += _boundary_pairing(fe, rule,
+                                 ht[:, :, None] * mesh.boundary_tangents[:, None, :])
 
     if not np.isfinite(ell).all():
         raise NumericalError("non-finite entries in assembled load")
@@ -210,22 +197,12 @@ def assemble_convection_skew(fe, w_coeffs, quad_order=6):
     wx, wy = fem.split_components(fe, w_coeffs)
     vals = fem.p2_values(rule.tri_points)
     grads = fe.physical_grads(rule)
-    wq = rule.tri_weights[:, None] * fe.det[None, :]
     wqx = np.einsum("qk,tk->qt", vals, wx[fe.tri_vnodes])
     wqy = np.einsum("qk,tk->qt", vals, wy[fe.tri_vnodes])
     # (w . grad) phi_j at each quadrature point
     adv = wqx[:, :, None] * grads[..., 0] + wqy[:, :, None] * grads[..., 1]
-    s = np.einsum("qt,qi,qtj->tij", wq, vals, adv)      # (nt, 6, 6)
-    nodes = fe.tri_vnodes
-    n = fe.num_velocity_nodes
-    raw = _scatter(nodes[:, :, None] * np.ones((1, 1, 6), dtype=np.int64),
-                   nodes[:, None, :] * np.ones((1, 6, 1), dtype=np.int64),
-                   s, (n, n))
-    skew = 0.5 * (raw - raw.T)
-    # The same scalar block on both components; no x-y coupling is stored.
-    mat = sparse.block_diag((skew, skew), format="csr")
-    mat.sort_indices()
-    return mat
+    s = np.einsum("qt,qi,qtj->tij", _weights(fe, rule), vals, adv)  # (nt, 6, 6)
+    return _componentwise(fe, s, skew=True)
 
 
 def pressure_integral_vector(fe):
@@ -244,18 +221,6 @@ def boundary_rotation_functional(fe, quad_order=4):
     the geometric discretization residue that the experiments measure.
     """
     rule = fem.quadrature(quad_order)
-    mesh = fe.mesh
     pts = fe.boundary_quad_coords(rule)                   # (nb, ns, 2)
-    beta = np.empty_like(pts)
-    beta[..., 0] = -pts[..., 1]
-    beta[..., 1] = pts[..., 0]
-    shapes = fem.segment_p2_values(rule.seg_points)
-    lengths = mesh.boundary_lengths()
-    ww = lengths[:, None] * rule.seg_weights[None, :]
-    tn = fe.boundary_trace_nodes()
-    n = fe.num_velocity_nodes
-    g = np.zeros(2 * n)
-    for comp in range(2):
-        contrib = np.einsum("bs,bs,si->bi", ww, beta[..., comp], shapes)
-        np.add.at(g, tn + comp * n, contrib)
-    return g
+    beta = np.stack([-pts[..., 1], pts[..., 0]], axis=-1)
+    return _boundary_pairing(fe, rule, beta)

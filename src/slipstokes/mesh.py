@@ -156,8 +156,7 @@ def _validate(mesh):
     twice[np.unique(boundary_ids, return_index=True)[1]] = False
     bad = np.flatnonzero(twice | (uses[boundary_ids] != 1))
     if bad.size:
-        a, b = be[bad[0]]
-        key = (min(a, b), max(a, b))
+        key = tuple(sorted(int(v) for v in be[bad[0]]))
         if twice[bad[0]]:
             raise InvalidArgument(f"boundary edge {key} declared twice")
         raise InvalidArgument(f"boundary edge {key} not on exactly one triangle")

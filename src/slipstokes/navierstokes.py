@@ -26,7 +26,7 @@ import numpy as np
 from . import fem, forms
 from .constraints import apply_plan, build_constraint_plan
 from .errors import InvalidArgument, MaxIterations
-from .fields import rigid_rotation
+from .fields import eval_boundary_field, rigid_rotation
 from .saddle import factorize, gated_solve, krylov_solve
 from .spectra import korn_quotient_min
 from .stokes import Solution, _diagnostics, energy_gate
@@ -83,7 +83,7 @@ class IterationLog:
         return buf.getvalue()
 
 
-def solve_navier_stokes(mesh, data, options=None, plan=None, quad_order=6):
+def solve_navier_stokes(mesh, data, options=None, plan=None):
     """Damped Picard iteration for the stationary Navier-Stokes system.
 
     ``plan`` replaces the slip constraints, as in :func:`solve_stokes`;
@@ -130,7 +130,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None, quad_order=6):
 
     A = forms.assemble_viscous(fe) + forms.assemble_friction(fe, data.alpha)
     B = forms.assemble_divergence(fe)
-    ell = forms.assemble_load(fe, data, quad_order=quad_order)
+    ell = forms.assemble_load(fe, data)
     H1 = forms.assemble_velocity_h1(fe)
 
     def h1_norm(v):
@@ -142,8 +142,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None, quad_order=6):
 
     def picard_system(w):
         """The bordered Stokes system with ``C(w)`` in its velocity block."""
-        C = plan.reduce(forms.assemble_convection_skew(fe, w,
-                                                       quad_order=quad_order))
+        C = plan.reduce(forms.assemble_convection_skew(fe, w))
         C.resize(stokes.matrix.shape)
         return replace(stokes, matrix=stokes.matrix + C)
 
@@ -202,10 +201,10 @@ def solve_navier_stokes(mesh, data, options=None, plan=None, quad_order=6):
     diag["nonlinear_residual"] = float(
         np.linalg.norm(final.matrix @ x - final.rhs) / (bnorm if bnorm > 0 else 1.0))
     diag["picard_iterations"] = len(log.rows)
-    return Solution(u=u, p=p, diagnostics=diag, fe=fe, plan=plan), log
+    return Solution(u=u, p=p, diagnostics=diag, fe=fe), log
 
 
-def trilinear_defects(mesh, w, u, v, quad_order=6):
+def trilinear_defects(mesh, w, u, v):
     """Structural defects of the skew trilinear form for given coefficients.
 
     Returns a dict with
@@ -218,7 +217,7 @@ def trilinear_defects(mesh, w, u, v, quad_order=6):
       fields tangent to the circle.
     """
     fe = fem.build_taylor_hood(mesh)
-    C = forms.assemble_convection_skew(fe, w, quad_order=quad_order)
+    C = forms.assemble_convection_skew(fe, w)
     cv = C @ v
     scale = np.linalg.norm(cv) * np.linalg.norm(v)
     skew_diag = abs(float(v @ cv)) / max(scale, np.finfo(float).tiny)
@@ -227,13 +226,13 @@ def trilinear_defects(mesh, w, u, v, quad_order=6):
     antisym = (np.abs(sym.data).max() / cmax) if sym.nnz else 0.0
 
     beta = fem.interpolate(fe, rigid_rotation().value)
-    C_beta = forms.assemble_convection_skew(fe, beta, quad_order=quad_order)
+    C_beta = forms.assemble_convection_skew(fe, beta)
     beta_defect = abs(float(u @ (C_beta @ beta)))
     return {"skew_diagonal": skew_diag, "antisymmetry": antisym,
             "beta_defect": beta_defect}
 
 
-def smallness_indicator(mesh, data, n_triples=200, seed=0, quad_order=6):
+def smallness_indicator(mesh, data, n_triples=200, seed=0):
     """Computable uniqueness indicator for the nonlinear problem.
 
     S = C_b / C_coer^2 * ( ||f||_{L^{6/5}} + ||F||_{L2} + ||h||_{L2(Gamma)} )
@@ -288,7 +287,7 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0, quad_order=6):
     for k in range(n_w):
         sample = random_smooth if k % 2 == 0 else random_noise
         w = sample()
-        C = forms.assemble_convection_skew(fe, w, quad_order=quad_order)
+        C = forms.assemble_convection_skew(fe, w)
         nw = h1_norm(w)
         for j in range(pairs_per_w):
             uu = sample()
@@ -296,13 +295,11 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0, quad_order=6):
             val = abs(float(vv @ (C @ uu)))
             c_b = max(c_b, val / (nw * h1_norm(uu) * h1_norm(vv)))
 
-    alpha_for_coer = data.alpha
-    c_coer = korn_quotient_min(mesh, alpha=alpha_for_coer,
-                               include_boundary_term=True).constant
+    c_coer = korn_quotient_min(mesh, alpha=data.alpha).constant
     if c_coer <= 0.0:
         raise InvalidArgument("coercivity constant vanishes; indicator undefined")
 
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(6)           # the load assembly's rule
     w = rule.tri_weights[:, None] * fe.det[None, :]
     pts = fe.quad_coords(rule)
     flat = pts.reshape(-1, 2)
@@ -319,7 +316,6 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0, quad_order=6):
                                  (*pts.shape[:2], 2, 2))
         data_norm += float(np.sqrt(np.sum(w[..., None, None] * Fv ** 2)))
     if data.h is not None:
-        from .fields import eval_boundary_field
         bpts = fe.boundary_quad_coords(rule)
         ht = eval_boundary_field(data.h, bpts, mesh.boundary_normals,
                                  mesh.boundary_tangents)

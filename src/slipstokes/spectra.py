@@ -31,7 +31,6 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import fem, forms
-from .constraints import friction_vanishes
 from .errors import InvalidArgument, SingularSystem
 from .fields import rigid_rotation
 from .saddle import symmetric_lu
@@ -86,22 +85,19 @@ def _smallest_eig(A, M, solve):
     return float(vals[0])
 
 
-def korn_quotient_min(mesh, alpha=0.0, include_boundary_term=False):
+def korn_quotient_min(mesh, alpha=0.0):
     """Minimum of the coercivity quotient over the constrained space.
 
-    quotient(u) = (2 ||D(u)||^2 [+ int_Gamma alpha |u.t|^2]) / ||u||_{H1}^2
+    quotient(u) = (2 ||D(u)||^2 + int_Gamma alpha |u.t|^2) / ||u||_{H1}^2
 
     Positive uniformly on the square; collapses to zero on the disk without
     friction, where the rigid rotation is an exact discrete kernel vector.
     Values below the rank floor are reported as exactly 0.
     """
     fe = fem.build_taylor_hood(mesh)
-    friction_vanishes(fe, alpha)        # refuses a negative alpha
     plan = fe.slip_plan()
-    A = forms.assemble_viscous(fe)
-    if include_boundary_term:
-        A = A + forms.assemble_friction(fe, alpha)
-    A_red = plan.reduce(A)
+    A_red = plan.reduce(forms.assemble_viscous(fe)
+                        + forms.assemble_friction(fe, alpha))
     M_red = plan.reduce(forms.assemble_velocity_h1(fe))
     n = A_red.shape[0]
     lu = symmetric_lu((A_red - SIGMA * M_red).tocsc())
@@ -110,9 +106,7 @@ def korn_quotient_min(mesh, alpha=0.0, include_boundary_term=False):
     constant = 0.0 if lam < floor else float(lam)
     return SpectralReport(constant=constant, mesh_size=mesh.mesh_size(),
                           n_dofs=n, alpha_descriptor=_alpha_descriptor(alpha),
-                          floor=floor,
-                          detail={"raw_eigenvalue": float(lam),
-                                  "boundary_term": include_boundary_term})
+                          floor=floor, detail={"raw_eigenvalue": float(lam)})
 
 
 def _divergence_schur(mesh, dense):

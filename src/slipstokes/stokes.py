@@ -40,7 +40,6 @@ class Solution:
     p: np.ndarray
     diagnostics: dict
     fe: object = None
-    plan: object = None
 
     def diagnostics_json(self):
         return json.dumps(self.diagnostics, indent=2, sort_keys=True)
@@ -86,7 +85,7 @@ def _diagnostics(fe, plan, system, x, u, p, A_total, ell):
     return diag
 
 
-def solve_stokes(mesh, data, plan=None, quad_order=6):
+def solve_stokes(mesh, data, plan=None):
     """Solve the Stokes system; returns a :class:`Solution`.
 
     On the disk with vanishing friction the operator has the rigid rotation
@@ -103,7 +102,7 @@ def solve_stokes(mesh, data, plan=None, quad_order=6):
 
     A = forms.assemble_viscous(fe) + forms.assemble_friction(fe, data.alpha)
     B = forms.assemble_divergence(fe)
-    ell = forms.assemble_load(fe, data, quad_order=quad_order)
+    ell = forms.assemble_load(fe, data)
     if plan.guard is not None:
         # The guard multiplier would silently absorb an incompatible load,
         # so reject data whose rotation pairing is not zero.
@@ -119,7 +118,7 @@ def solve_stokes(mesh, data, plan=None, quad_order=6):
     x = factor_solve(system)
     u, p, _ = plan.reconstruct(x)
     diag = _diagnostics(fe, plan, system, x, u, p, A, ell)
-    return Solution(u=u, p=p, diagnostics=diag, fe=fe, plan=plan)
+    return Solution(u=u, p=p, diagnostics=diag, fe=fe)
 
 
 def energy_report(solution):
@@ -196,14 +195,14 @@ def boundary_identity_defect(u_field, mesh, quad_order=4):
     return float(defect.max())
 
 
-def check_compatibility(mesh, data, quad_order=6):
+def check_compatibility(mesh, data):
     """Moment of the data against the rigid rotation.
 
-    Returns ``int f.beta - int F:grad(beta) + int_Gamma h.beta`` computed with
-    the same quadrature as the load assembly; solvability with vanishing
-    friction on the disk requires this to vanish.
+    Returns ``int f.beta - int F:grad(beta) + int_Gamma h.beta``, the
+    pairing of the assembled load with the interpolated rotation;
+    solvability with vanishing friction on the disk requires it to vanish.
     """
     fe = fem.build_taylor_hood(mesh)
     beta = fem.interpolate(fe, rigid_rotation().value)
-    ell = forms.assemble_load(fe, data, quad_order=quad_order)
+    ell = forms.assemble_load(fe, data)
     return float(ell @ beta)

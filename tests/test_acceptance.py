@@ -118,8 +118,7 @@ def test_criterion_06_korn_dichotomy():
               for n in (4, 8, 16)]
     disk0 = [korn_quotient_min(make_disk(l)) for l in (1, 2, 3, 4)]
     disk0_vals = [r.constant for r in disk0]
-    disk1 = [korn_quotient_min(make_disk(l), alpha=1.0,
-                               include_boundary_term=True).constant
+    disk1 = [korn_quotient_min(make_disk(l), alpha=1.0).constant
              for l in (1, 2, 3, 4)]
     ok_square = all(c >= 1e-3 for c in square)
     ok_disk0 = all(b <= a / 4.0 for a, b in zip(disk0_vals, disk0_vals[1:]))

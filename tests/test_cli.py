@@ -116,7 +116,8 @@ class TestExperimentCommand:
         assert (tmp_path / "out" / "report.csv").exists()
 
     @pytest.mark.parametrize("section, key", [("solver", "seed"),
-                                              ("alpha", "star")])
+                                              ("alpha", "star"),
+                                              ("solver", "threads")])
     def test_removed_config_keys_exit_2(self, capsys, tmp_path, section, key):
         ini = tmp_path / "run.ini"
         ini.write_text(f"[domain]\nlevels = 4,8,16\n[{section}]\n{key} = 7\n")
@@ -126,6 +127,11 @@ class TestExperimentCommand:
 
     def test_seed_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "experiment", "mms", "--seed", "3")
+        assert code == 2
+
+    def test_threads_flag_exits_2(self, capsys):
+        # Every study runs its solves in turn; there is no thread count.
+        code, _, _ = run(capsys, "experiment", "mms", "--threads", "2")
         assert code == 2
 
     def test_missing_config_exits_2(self, capsys):

@@ -90,7 +90,6 @@ value = 4.0
 schedule = 0.25,0.0625
 
 [solver]
-threads = 2
 max_iterations = 30
 damping = 0.5
 
@@ -105,7 +104,6 @@ dir = out
         assert cfg.amplitude == 0.25
         assert cfg.alpha == 4.0
         assert cfg.alpha_schedule == (0.25, 0.0625)
-        assert cfg.threads == 2
         assert cfg.picard.max_iterations == 30
         assert cfg.picard.damping == 0.5
         assert outdir == "out"
@@ -119,6 +117,10 @@ dir = out
         bad_key.write_text("[domain]\nshape = square\n")
         with pytest.raises(InvalidArgument, match="key"):
             parse_config(str(bad_key))
+        threads = tmp_path / "t.ini"
+        threads.write_text("[solver]\nthreads = 2\n")
+        with pytest.raises(InvalidArgument, match="key 'threads'"):
+            parse_config(str(threads))
         bad_value = tmp_path / "c.ini"
         bad_value.write_text("[domain]\nlevels = two,four\n")
         with pytest.raises(InvalidArgument, match="bad value"):
@@ -130,9 +132,8 @@ dir = out
 
 
 class TestReports:
-    def run_small_mms(self, threads=1):
-        cfg = ExperimentConfig(kind="mms", levels=(4, 8, 16), threads=threads)
-        return run_experiment(cfg)
+    def run_small_mms(self):
+        return run_experiment(ExperimentConfig(kind="mms", levels=(4, 8, 16)))
 
     def test_mms_report_contents(self):
         report = self.run_small_mms()
@@ -158,20 +159,10 @@ class TestReports:
             written.append(Path(csv_path).read_bytes())
         assert written[0] == written[1]
 
-    def test_threads_do_not_change_bytes(self):
-        a = self.run_small_mms(threads=1).to_csv()
-        b = self.run_small_mms(threads=2).to_csv()
-        assert a == b
-
     def test_threads_share_one_system_on_one_mesh(self, fe_builds):
-        reports = []
-        for threads in (1, 2):
-            cfg = ExperimentConfig(kind="alpha_to_zero", levels=(8,),
-                                   threads=threads)
-            reports.append(run_experiment(cfg).to_csv())
-            # One system per run, shared by every solve in every thread.
-            assert len(fe_builds) == threads
-        assert reports[0] == reports[1]
+        run_experiment(ExperimentConfig(kind="alpha_to_zero", levels=(8,)))
+        # One system for the run, shared by every solve of the sweep.
+        assert len(fe_builds) == 1
 
     @pytest.mark.parametrize("kind", ["spectra_suite", "compat_disk"])
     def test_one_system_per_level(self, fe_builds, kind):

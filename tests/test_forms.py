@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from slipstokes import (ProblemData, build_taylor_hood, interpolate,
                         make_disk, make_unit_square, rigid_rotation)
-from slipstokes import forms
+from slipstokes import fem, forms
 from slipstokes.errors import InvalidArgument, NumericalError
 
 
@@ -54,6 +55,64 @@ class TestBilinearForms:
             [p[:, 0] * p[:, 1], p[:, 1] ** 2], axis=1), "velocity")
         rep = norms(fe, u)
         assert float(u @ (H1 @ u)) == pytest.approx(rep.h1 ** 2, rel=1e-13)
+
+
+def _oracle_vector_scatter(fe, local):
+    # Plain COO sum of per-triangle (12, 12) velocity blocks, x then y.
+    dofs = np.hstack([fe.tri_vnodes, fe.tri_vnodes + fe.num_velocity_nodes])
+    n = fe.num_velocity_dofs
+    return sparse.coo_matrix((local.ravel(),
+                              (np.repeat(dofs, 12, axis=1).ravel(),
+                               np.tile(dofs, (1, 12)).ravel())),
+                             shape=(n, n)).tocsr()
+
+
+def _oracle_viscous(fe):
+    # Five einsum passes, one per gradient product.
+    rule = fem.quadrature(4)
+    grads = fe.physical_grads(rule)
+    w = rule.tri_weights[:, None] * fe.det[None, :]
+    gx, gy = grads[..., 0], grads[..., 1]
+    kxx = np.einsum("qt,qti,qtj->tij", w, gx, gx) * 2 \
+        + np.einsum("qt,qti,qtj->tij", w, gy, gy)
+    kyy = np.einsum("qt,qti,qtj->tij", w, gy, gy) * 2 \
+        + np.einsum("qt,qti,qtj->tij", w, gx, gx)
+    kyx = np.einsum("qt,qti,qtj->tij", w, gx, gy)
+    return _oracle_vector_scatter(
+        fe, np.block([[kxx, np.swapaxes(kyx, 1, 2)], [kyx, kyy]]))
+
+
+def _oracle_componentwise(fe, stiffness):
+    # Mass (plus the full-gradient stiffness) with explicit zero x-y blocks.
+    rule = fem.quadrature(4)
+    vals = fem.p2_values(rule.tri_points)
+    w = rule.tri_weights[:, None] * fe.det[None, :]
+    blk = np.einsum("qt,qi,qj->tij", w, vals, vals)
+    if stiffness:
+        grads = fe.physical_grads(rule)
+        blk = blk + np.einsum("qt,qtia,qtja->tij", w, grads, grads)
+    z = np.zeros_like(blk)
+    return _oracle_vector_scatter(fe, np.block([[blk, z], [z, blk]]))
+
+
+class TestAssemblyOracles:
+    @pytest.mark.parametrize("mesh", [make_unit_square(3), make_disk(2)],
+                             ids=["square3", "disk2"])
+    def test_matches_blockwise_recipes(self, mesh):
+        fe = build_taylor_hood(mesh)
+        n = fe.num_velocity_nodes
+        for new, old in ((forms.assemble_viscous(fe), _oracle_viscous(fe)),
+                         (forms.assemble_velocity_mass(fe),
+                          _oracle_componentwise(fe, stiffness=False)),
+                         (forms.assemble_velocity_h1(fe),
+                          _oracle_componentwise(fe, stiffness=True))):
+            scale = float(np.abs(old.data).max())
+            assert abs(new - old).max() <= 1e-14 * scale
+        for mat in (forms.assemble_velocity_mass(fe),
+                    forms.assemble_velocity_h1(fe)):
+            coo = mat.tocoo()
+            assert not ((coo.row < n) != (coo.col < n)).any()
+            assert mat.nnz == 2 * mat[:n, :n].nnz
 
 
 class TestFriction:

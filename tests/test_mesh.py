@@ -262,14 +262,13 @@ def _inward_normal(parts):
 
 
 REFUSALS = [
-    (_declared_twice, r"^boundary edge \(np.int64\(0\), np.int64\(1\)\) "
-                      r"declared twice$"),
+    (_declared_twice, r"^boundary edge \(0, 1\) declared twice$"),
     (_missing_edge, r"^declared boundary does not match triangulation "
                     r"boundary$"),
-    (_edge_of_two_triangles, r"^boundary edge \(np.int64\(0\), "
-                             r"np.int64\(4\)\) not on exactly one triangle$"),
-    (_edge_of_no_triangle, r"^boundary edge \(np.int64\(0\), "
-                           r"np.int64\(8\)\) not on exactly one triangle$"),
+    (_edge_of_two_triangles,
+     r"^boundary edge \(0, 4\) not on exactly one triangle$"),
+    (_edge_of_no_triangle,
+     r"^boundary edge \(0, 8\) not on exactly one triangle$"),
     (_open_loop, r"^boundary edges do not form closed loops$"),
     (_inward_normal, r"^boundary normal does not point outward$"),
 ]

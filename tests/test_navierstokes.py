@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -275,7 +276,8 @@ class TestOneFactorization:
 
 
 def _old_convection_skew(fe, w, quad_order=6):
-    # The previous recipe: (12, 12) blocks with explicit zero x-y coupling.
+    # The previous recipe: (12, 12) blocks with explicit zero x-y coupling,
+    # summed by a plain COO scatter of its own.
     rule = fem.quadrature(quad_order)
     wx, wy = fem.split_components(fe, w)
     vals = fem.p2_values(rule.tri_points)
@@ -286,7 +288,15 @@ def _old_convection_skew(fe, w, quad_order=6):
     adv = wqx[:, :, None] * grads[..., 0] + wqy[:, :, None] * grads[..., 1]
     s = np.einsum("qt,qi,qtj->tij", wq, vals, adv)
     z = np.zeros_like(s)
-    raw = forms._scatter_vector_block(fe, np.block([[s, z], [z, s]]))
+    local = np.block([[s, z], [z, s]])
+    dofs = np.hstack([fe.tri_vnodes, fe.tri_vnodes + fe.num_velocity_nodes])
+    n = fe.num_velocity_dofs
+    raw = sparse.coo_matrix((local.ravel(),
+                             (np.repeat(dofs, 12, axis=1).ravel(),
+                              np.tile(dofs, (1, 12)).ravel())),
+                            shape=(n, n)).tocsr()
+    raw.sum_duplicates()
+    raw.sort_indices()
     skew = 0.5 * (raw - raw.T).tocsr()
     skew.eliminate_zeros()
     skew.sort_indices()

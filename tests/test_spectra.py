@@ -53,24 +53,15 @@ class TestKorn:
 
     def test_disk_friction_restores_coercivity(self):
         for level in (1, 2, 3):
-            rep = korn_quotient_min(make_disk(level), alpha=1.0,
-                                    include_boundary_term=True)
+            rep = korn_quotient_min(make_disk(level), alpha=1.0)
             assert rep.constant >= 1e-3
 
-    def test_boundary_term_requires_flag(self):
-        # Without the boundary term the disk quotient stays zero no matter
-        # what alpha labels the report.
-        rep = korn_quotient_min(make_disk(1), alpha=1.0,
-                                include_boundary_term=False)
-        assert rep.constant == 0.0
-
     def test_report_fields(self):
-        rep = korn_quotient_min(make_unit_square(4), alpha=2.0,
-                                include_boundary_term=True)
+        rep = korn_quotient_min(make_unit_square(4), alpha=2.0)
         assert rep.n_dofs > 0
         assert rep.mesh_size > 0.0
         assert rep.alpha_descriptor == "2"
-        assert rep.detail["boundary_term"] is True
+        assert set(rep.detail) == {"raw_eigenvalue"}
 
 
 class TestInfSup:
@@ -156,8 +147,7 @@ class TestShiftInvertPaths:
         expected = _dense_smallest(plan.reduce(A).toarray(),
                                    plan.reduce(forms.assemble_velocity_h1(fe)))
         state = np.random.get_state()
-        rep = korn_quotient_min(mesh, alpha=alpha,
-                                include_boundary_term=friction)
+        rep = korn_quotient_min(mesh, alpha=alpha)
         assert _same_random_state(state, np.random.get_state())
         if domain == "disk" and not friction:
             assert abs(expected) < rep.floor
