@@ -39,7 +39,8 @@ from .fields import (ProblemData, disk_compatible_forcing, navier_stokes_mms,
 from .mesh import make_disk, make_unit_square
 from .navierstokes import PicardOptions, solve_navier_stokes
 from .spectra import infsup_constant, korn_quotient_min
-from .stokes import check_compatibility, solve_stokes
+from .stokes import (check_compatibility, solve_friction_sweep,
+                     solve_stokes)
 from .fem import pressure_error_l2, velocity_error_h1
 
 KINDS = ("mms", "alpha_to_zero", "alpha_to_infinity", "uniform_bound",
@@ -80,7 +81,12 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Rows plus fits plus the configuration echo for one experiment."""
+    """Rows plus fits plus the configuration echo for one experiment.
+
+    ``krylov`` holds, row by row, the GMRES iterations of the friction
+    sweeps' solves (None where a system was factored).  It goes to
+    ``report.json`` only, never to the deterministic ``report.csv``.
+    """
 
     kind: str
     columns: tuple
@@ -89,6 +95,7 @@ class RunReport:
     config_echo: dict
     environment: dict
     wall_times: dict
+    krylov: list | None = None
 
     def to_csv(self):
         buf = io.StringIO()
@@ -99,14 +106,17 @@ class RunReport:
         return buf.getvalue()
 
     def to_manifest(self):
-        return json.dumps({
+        manifest = {
             "kind": self.kind,
             "version": _version,
             "config": self.config_echo,
             "environment": self.environment,
             "fits": self.fits,
             "wall_times_s": self.wall_times,
-        }, indent=2, sort_keys=True)
+        }
+        if self.krylov is not None:
+            manifest["krylov_iterations"] = self.krylov
+        return json.dumps(manifest, indent=2, sort_keys=True)
 
 
 def _fmt(v):
@@ -201,28 +211,24 @@ def run_alpha_to_zero(cfg):
     schedule = cfg.alpha_schedule or tuple(2.0 ** (-k) for k in range(2, 13))
 
     t0 = time.perf_counter()
-    data0 = ProblemData(f=base.f, F=base.F, h=base.h, alpha=0.0,
-                        compatibility_mode=True)
-    sol0 = solve_stokes(mesh, data0)
-    wall["reference"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    data = ProblemData(f=base.f, F=base.F, h=base.h, compatibility_mode=True)
+    (sol0, *sols), (krylov0, *krylov) = solve_friction_sweep(
+        mesh, data, (0.0, *schedule))
+    wall["sweep"] = time.perf_counter() - t0
     rows = []
-    for alpha in schedule:
-        data = ProblemData(f=base.f, F=base.F, h=base.h, alpha=float(alpha))
-        sol = solve_stokes(mesh, data)
+    for alpha, sol in zip(schedule, sols):
         diff = sol.u - sol0.u
         err = float(np.sqrt(max(diff @ (H1 @ diff), 0.0)))
         rows.append((float(alpha), err, sol.diagnostics["h1_norm"],
                      sol.diagnostics["energy_residual"]))
-    wall["sweep"] = time.perf_counter() - t0
     alphas = [r[0] for r in rows]
     errs = [r[1] for r in rows]
     fits = {"limit_rate": fit_rate(alphas, errs)}
     rows.append((0.0, 0.0, sol0.diagnostics["h1_norm"],
                  sol0.diagnostics["energy_residual"]))
     return _report(cfg, ("alpha", "error_h1_vs_reference", "h1_norm",
-                         "energy_residual"), rows, fits, wall)
+                         "energy_residual"), rows, fits, wall,
+                   krylov=[*krylov, krylov0])
 
 
 def run_alpha_to_infinity(cfg):
@@ -241,16 +247,15 @@ def run_alpha_to_infinity(cfg):
     wall["dirichlet_reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    sols, krylov = solve_friction_sweep(mesh, base, schedule)
+    wall["sweep"] = time.perf_counter() - t0
     rows = []
-    for alpha in schedule:
-        data = ProblemData(f=base.f, F=base.F, h=base.h, alpha=float(alpha))
-        sol = solve_stokes(mesh, data)
+    for alpha, sol in zip(schedule, sols):
         diff = sol.u - ud
         err = float(np.sqrt(max(diff @ (H1 @ diff), 0.0)))
         rows.append((float(alpha), err,
                      sol.diagnostics["boundary_tangential_l2"],
                      sol.diagnostics["energy_residual"]))
-    wall["sweep"] = time.perf_counter() - t0
     alphas = [r[0] for r in rows]
     fits = {
         "tangential_rate": fit_rate(alphas, [r[2] for r in rows]),
@@ -260,7 +265,7 @@ def run_alpha_to_infinity(cfg):
                                   "reference_h1": ud_norm}
     return _report(cfg, ("alpha", "error_h1_vs_dirichlet",
                          "boundary_tangential_l2", "energy_residual"),
-                   rows, fits, wall)
+                   rows, fits, wall, krylov=krylov)
 
 
 def run_uniform_bound(cfg):
@@ -272,19 +277,19 @@ def run_uniform_bound(cfg):
     schedule = cfg.alpha_schedule or (0.0, 1e-2, 1.0, 1e2, 1e4, 1e6)
 
     t0 = time.perf_counter()
+    data = ProblemData(f=base.f, F=base.F, h=base.h, compatibility_mode=True)
+    sols, krylov = solve_friction_sweep(mesh, data, schedule)
+    wall["sweep"] = time.perf_counter() - t0
     rows = []
-    for alpha in schedule:
-        data = ProblemData(f=base.f, F=base.F, h=base.h, alpha=float(alpha),
-                           compatibility_mode=True)
-        d = solve_stokes(mesh, data).diagnostics
+    for alpha, sol in zip(schedule, sols):
+        d = sol.diagnostics
         rows.append((float(alpha), d["h1_norm"] + d["pressure_l2"],
                      d["h1_norm"], d["pressure_l2"], d["energy_residual"]))
-    wall["sweep"] = time.perf_counter() - t0
     sizes = [r[1] for r in rows]
     fits = {"uniformity": {"max_over_min": max(sizes) / min(sizes),
                            "max": max(sizes), "min": min(sizes)}}
     return _report(cfg, ("alpha", "solution_size", "h1_norm", "pressure_l2",
-                         "energy_residual"), rows, fits, wall)
+                         "energy_residual"), rows, fits, wall, krylov=krylov)
 
 
 def run_compat_disk(cfg):
@@ -430,10 +435,10 @@ def _config_echo(cfg):
     return echo
 
 
-def _report(cfg, columns, rows, fits, wall):
+def _report(cfg, columns, rows, fits, wall, krylov=None):
     return RunReport(kind=cfg.kind, columns=columns, rows=rows, fits=fits,
                      config_echo=_config_echo(cfg), environment=_environment(),
-                     wall_times=wall)
+                     wall_times=wall, krylov=krylov)
 
 
 def write_report(report, outdir):

@@ -184,8 +184,14 @@ class FeSystem:
 
     def quad_coords(self, rule):
         """Physical coordinates of triangle quadrature points, (nq, nt, 2)."""
-        p = self.mesh.vertices[self.mesh.triangles]      # (nt, 3, 2)
-        return np.einsum("qk,tka->qta", rule.tri_points, p)
+        p = self.mesh.vertices[self.mesh.triangles.T]    # (3, nt, 2)
+        b = rule.tri_points[:, :, None, None]            # (nq, 3, 1, 1)
+        # Summed in vertex order, bit for bit the contraction "qk,tka->qta"
+        # (a BLAS product fuses the multiply-adds and rounds differently).
+        x = b[:, 0] * p[0]
+        x += b[:, 1] * p[1]
+        x += b[:, 2] * p[2]
+        return x
 
     def boundary_quad_coords(self, rule):
         """Physical coordinates of boundary quadrature points, (nb, ns, 2)."""

@@ -8,10 +8,17 @@ vanishing friction, the rotation guard), factorizes and returns a
     2 ||D(u)||^2 + int_Gamma alpha |u.t|^2  =  l(u)
 
 to solver precision on every successful solve.
+
+``solve_friction_sweep`` solves one data set for many friction values on
+one mesh: the viscous form, divergence and load are assembled once, the
+smallest friction of each plan is factored through the full singularity
+gate, and the larger ones are solved by GMRES on the latest gated
+factors.  ``solve_stokes`` is the sweep of one value.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -21,7 +28,7 @@ from .errors import (IncompatibleData, InvalidArgument, NumericalError,
                      SingularSystem)
 from .fem import interpolate
 from .fields import rigid_rotation
-from .saddle import factor_solve
+from .saddle import factor_solve, factorize, gated_solve, krylov_solve
 
 ENERGY_RTOL = 1e-8
 COMPAT_RTOL = 1e-10
@@ -85,40 +92,125 @@ def _diagnostics(fe, plan, system, x, u, p, A_total, ell):
     return diag
 
 
+def _friction_solves(fe, data, alphas, plan):
+    """``(Solution, GMRES iterations)`` for each friction in ``alphas``.
+
+    The values are visited in the given order, which the sweep makes
+    ascending.  ``plan`` (or, when None, ``build_constraint_plan`` per
+    value) fixes the constraints, and each system is
+    ``apply_plan(plan, A_visc + M_alpha, B, ell)``.  The first system of
+    each run of plans with the same guard is factored through
+    ``factorize`` (``factor_solve`` when it is the run's only one, whose
+    factors nothing reuses); each later one is solved by ``krylov_solve``
+    on the latest gated factors, warm-started from the previous solution.
+    The iteration count is None where a system was factored.
+    """
+    plans = [plan or build_constraint_plan(fe, replace(data, alpha=alpha))
+             for alpha in alphas]
+    if not data.compatibility_mode and any(p.guard is not None for p in plans):
+        raise SingularSystem(
+            "disk with vanishing friction: the rigid rotation spans the kernel; "
+            "set compatibility_mode to solve with the rotation guard")
+    A_visc = forms.assemble_viscous(fe)
+    B = forms.assemble_divergence(fe)
+    ell = forms.assemble_load(fe, data)
+    results = []
+    for guarded, run in groupby(zip(alphas, plans),
+                                key=lambda pair: pair[1].guard is not None):
+        run = list(run)
+        if guarded:
+            # The guard multiplier would silently absorb an incompatible
+            # load, so reject data whose rotation pairing is not zero.
+            beta = interpolate(fe, rigid_rotation().value, "velocity")
+            defect = float(ell @ beta)
+            scale = float(np.linalg.norm(ell) * np.linalg.norm(beta)) or 1.0
+            if abs(defect) > COMPAT_RTOL * scale:
+                raise IncompatibleData(
+                    f"rotation pairing of the data is {defect:.3e} "
+                    f"(relative {abs(defect) / scale:.3e}); the frictionless "
+                    "disk problem needs data orthogonal to the rigid rotation")
+        lu = None
+        for alpha, p in run:
+            A = A_visc + forms.assemble_friction(fe, alpha)
+            if len(results) == len(alphas) - 1:
+                del A_visc         # not held through the last factorization
+            system = apply_plan(p, A, B, ell)
+            if len(run) == 1:      # no later value needs the factors
+                x, iterations = factor_solve(system), None
+            elif lu is None:
+                lu = factorize(system.matrix)
+                x, iterations = gated_solve(system, lu.solve), None
+            else:
+                x, iterations, lu = krylov_solve(system, lu, x)
+            u, pressure, _ = p.reconstruct(x)
+            diag = _diagnostics(fe, p, system, x, u, pressure, A, ell)
+            results.append((Solution(u=u, p=pressure, diagnostics=diag, fe=fe),
+                            iterations))
+    return results
+
+
 def solve_stokes(mesh, data, plan=None):
     """Solve the Stokes system; returns a :class:`Solution`.
 
     On the disk with vanishing friction the operator has the rigid rotation
     in its kernel; such problems are only accepted with
     ``data.compatibility_mode`` set, which activates the guard multiplier.
+    ``plan`` replaces the slip constraints (``build_dirichlet_plan`` gives
+    the clamped problem).
     """
     fe = fem.build_taylor_hood(mesh)
-    if plan is None:
-        plan = build_constraint_plan(fe, data)
-    if plan.guard is not None and not data.compatibility_mode:
-        raise SingularSystem(
-            "disk with vanishing friction: the rigid rotation spans the kernel; "
-            "set compatibility_mode to solve with the rotation guard")
+    return _friction_solves(fe, data, [data.alpha], plan)[0][0]
 
-    A = forms.assemble_viscous(fe) + forms.assemble_friction(fe, data.alpha)
-    B = forms.assemble_divergence(fe)
-    ell = forms.assemble_load(fe, data)
-    if plan.guard is not None:
-        # The guard multiplier would silently absorb an incompatible load,
-        # so reject data whose rotation pairing is not zero.
-        beta = interpolate(fe, rigid_rotation().value, "velocity")
-        defect = float(ell @ beta)
-        scale = float(np.linalg.norm(ell) * np.linalg.norm(beta)) or 1.0
-        if abs(defect) > COMPAT_RTOL * scale:
-            raise IncompatibleData(
-                f"rotation pairing of the data is {defect:.3e} "
-                f"(relative {abs(defect) / scale:.3e}); the frictionless "
-                "disk problem needs data orthogonal to the rigid rotation")
-    system = apply_plan(plan, A, B, ell)
-    x = factor_solve(system)
-    u, p, _ = plan.reconstruct(x)
-    diag = _diagnostics(fe, plan, system, x, u, p, A, ell)
-    return Solution(u=u, p=p, diagnostics=diag, fe=fe)
+
+def solve_friction_sweep(mesh, data, alphas):
+    """Solve ``data`` with each scalar friction in ``alphas``.
+
+    Returns ``(solutions, iterations)``, both in input order: one
+    :class:`Solution` per value (the ``data.alpha`` of ``data`` is
+    ignored), and the GMRES iterations of its solve, None where the
+    system was factored.  Duplicates are solved again.  The refusals of
+    :func:`solve_stokes` apply to every value, and ``InvalidArgument`` is
+    raised for an empty list or a negative or non-finite value.
+
+    The values are visited in increasing order.  The smallest value of
+    each plan (on the disk, the guard plan at vanishing friction and the
+    slip plan otherwise) is factored through the full singularity gate;
+    every larger value is solved by GMRES on the latest gated factors,
+    under the ``RESIDUAL_RTOL`` gate, and a solve GMRES cannot settle
+    within its cap is refactored through the full gate, its factors
+    preconditioning the solves after it.
+
+    Why the gate at ``alpha0`` covers each ``alpha > alpha0 >= 0``: the
+    velocity block is ``A + alpha R``, with ``A`` the viscous form and
+    ``R`` the friction form, both symmetric positive semidefinite.  So
+    ``v^T (A + alpha R) v = 0`` forces ``v^T A v = v^T R v = 0``, hence
+    ``A v = R v = 0`` and ``(A + alpha0 R) v = 0``: ``ker(A + alpha R)``
+    lies inside ``ker(A + alpha0 R)``.  Take ``(u, p, lam)`` in the
+    kernel of the bordered matrix at ``alpha``.  As in
+    ``navierstokes.solve_navier_stokes``, the constraint rows give
+    ``u^T (A + alpha R) u = 0``, so ``(A + alpha0 R) u = (A + alpha R) u
+    = 0`` and ``(u, p, lam)`` lies in the kernel of the gated matrix at
+    ``alpha0``, which is nonsingular: it is zero.  So no kernel appears
+    past a gated system, and the per-solve residual gate bounds the
+    accuracy of each solve.
+    """
+    try:
+        values = np.asarray(alphas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"friction values must be numbers: {exc}") from exc
+    if values.ndim != 1 or not values.size:
+        raise InvalidArgument("a friction sweep needs a list of values")
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        raise InvalidArgument(
+            f"friction values must be finite and nonnegative, got {values}")
+    order = np.argsort(values, kind="stable")
+    solved = _friction_solves(fem.build_taylor_hood(mesh), data,
+                              values[order].tolist(), None)
+    solutions = [None] * len(values)
+    iterations = [None] * len(values)
+    for k, (solution, count) in zip(order, solved):
+        solutions[k], iterations[k] = solution, count
+    return solutions, iterations
 
 
 def energy_report(solution):

@@ -188,6 +188,23 @@ class TestReports:
                 for row in report.rows]
         assert report.fits["machine_zero"] == (max(circ) <= 1e-13)
 
+    @pytest.mark.parametrize("kind", ["alpha_to_zero", "alpha_to_infinity",
+                                      "uniform_bound"])
+    def test_sweep_iterations_in_manifest_only(self, tmp_path, kind):
+        report = run_experiment(ExperimentConfig(kind=kind, levels=(8,)))
+        csv_path, json_path = write_report(report, str(tmp_path))
+        counts = json.loads(Path(json_path).read_text())["krylov_iterations"]
+        # Row by row; the smallest friction is factored, the rest by GMRES.
+        assert len(counts) == len(report.rows)
+        smallest = min(range(len(counts)), key=lambda k: report.rows[k][0])
+        assert counts[smallest] is None
+        assert any(isinstance(c, int) and c > 0 for c in counts)
+        assert "krylov" not in Path(csv_path).read_text()
+
+    def test_other_kinds_write_no_iterations(self, tmp_path):
+        _, json_path = write_report(self.run_small_mms(), str(tmp_path))
+        assert "krylov_iterations" not in json.loads(Path(json_path).read_text())
+
     def test_uniform_bound_ratio(self):
         cfg = ExperimentConfig(kind="uniform_bound", levels=(8,))
         report = run_experiment(cfg)

@@ -2,17 +2,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slipstokes import (ProblemData, apply_plan, assemble_divergence,
-                        assemble_load, assemble_viscous,
+                        assemble_friction, assemble_load, assemble_viscous,
                         build_constraint_plan, build_dirichlet_plan,
                         build_taylor_hood,
                         disk_compatible_forcing, disk_incompatible_forcing,
                         disk_tangential_drive, factor_solve, make_disk,
-                        make_unit_square, rigid_rotation, solve_stokes,
-                        stokes_mms, sweep_forcing)
+                        make_unit_square, rigid_rotation,
+                        solve_friction_sweep, solve_stokes, stokes_mms,
+                        sweep_forcing)
+from slipstokes import saddle, stokes
 from slipstokes.errors import (IncompatibleData, InvalidArgument,
                                SingularSystem)
+from slipstokes.saddle import symmetric_lu
 from slipstokes.fem import velocity_error_h1, pressure_error_l2
 from slipstokes.fields import ClosedFormField
 from slipstokes.stokes import (boundary_identity_defect, check_compatibility,
@@ -154,6 +159,119 @@ class TestFrictionlessDisk:
         r_m = np.cos(np.pi / m)
         assert check_compatibility(mesh, data) == pytest.approx(
             c * m * L * r_m, rel=1e-12)
+
+
+def _counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+# Held for the whole module, so every example shares one system.
+SQUARE8 = make_unit_square(8)
+
+
+class TestFrictionSweep:
+    """One gated factorization per plan, GMRES for every later value."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+                    min_size=1, max_size=5),
+           st.randoms(use_true_random=False))
+    def test_sweep_matches_solve_stokes(self, values, rnd):
+        # Unsorted, with a duplicate and alpha = 0.
+        alphas = values + [0.0, values[0]]
+        rnd.shuffle(alphas)
+        data = sweep_forcing()
+        sols, iterations = solve_friction_sweep(SQUARE8, data, alphas)
+        assert len(sols) == len(iterations) == len(alphas)
+        assert iterations.count(None) >= 1
+        for alpha, sol in zip(alphas, sols):
+            ref = solve_stokes(SQUARE8, dataclasses.replace(data, alpha=alpha))
+            assert _relative(sol.u, ref.u) <= 1e-10
+            assert _relative(sol.p, ref.p) <= 1e-10
+
+    @pytest.mark.parametrize("mesh, data, alphas, plans", [
+        (make_unit_square(12), sweep_forcing(),
+         [2.0 ** (-k) for k in range(12)], 1),
+        (make_disk(2), dataclasses.replace(disk_compatible_forcing(),
+                                           compatibility_mode=True),
+         [0.0] + [2.0 ** (-k) for k in range(11)], 2),
+    ], ids=["square", "disk"])
+    def test_one_factorization_per_plan(self, monkeypatch, mesh, data,
+                                        alphas, plans):
+        calls = []
+        monkeypatch.setattr(stokes, "factorize",
+                            _counting(calls, saddle.factorize))
+        monkeypatch.setattr(saddle, "factorize",
+                            _counting(calls, saddle.factorize))
+        _, iterations = solve_friction_sweep(mesh, data, alphas[::-1])
+        assert len(calls) == plans
+        assert iterations.count(None) == plans
+        assert all(isinstance(k, int) for k in iterations if k is not None)
+
+    def test_frictionless_disk_needs_compatibility_mode(self):
+        data = disk_compatible_forcing(alpha=1.0)
+        with pytest.raises(SingularSystem, match="compatibility_mode"):
+            solve_friction_sweep(make_disk(1), data, [1.0, 0.0])
+
+    def test_incompatible_guard_data_is_rejected(self):
+        data = disk_incompatible_forcing()
+        data.compatibility_mode = True
+        with pytest.raises(IncompatibleData):
+            solve_friction_sweep(make_disk(1), data, [1.0, 0.0])
+
+    def test_smallest_friction_still_gated(self):
+        # On disk 2, friction 1e-12 is refused as singular; the sweep
+        # factors it first, so the gate still sees it.
+        data = disk_compatible_forcing()
+        data.compatibility_mode = True
+        with pytest.raises(SingularSystem, match="condition estimate"):
+            solve_friction_sweep(make_disk(2), data, [1.0, 0.0, 1e-2, 1e-12])
+
+    @pytest.mark.parametrize("alphas", [[], [1.0, -1.0], [np.nan],
+                                        [[1.0, 2.0]], [1.0, [2.0]],
+                                        [lambda p: 1.0]])
+    def test_bad_schedules_refused(self, alphas):
+        with pytest.raises(InvalidArgument):
+            solve_friction_sweep(SQUARE8, sweep_forcing(), alphas)
+
+    @pytest.mark.parametrize("mesh, data", [
+        (make_unit_square(32), sweep_forcing()),
+        (make_disk(3), disk_compatible_forcing()),
+    ], ids=["square32", "disk3"])
+    def test_sweep_matrix_is_the_bordered_sum(self, monkeypatch, mesh, data):
+        # Sparse addition drops entries that cancel to 0.0, so the pattern,
+        # and with it the fill, follows rounding: pin both to the system
+        # bordered from A_visc + M_alpha in one piece, as solve_stokes
+        # borders it.
+        matrices = []
+        monkeypatch.setattr(stokes, "factorize", _counting(
+            matrices, saddle.factorize))
+        monkeypatch.setattr(stokes, "krylov_solve", lambda system, lu, x: (
+            matrices.append((system.matrix,))
+            or saddle.krylov_solve(system, lu, x)))
+        alphas = [2.0 ** -12, 1.0, 1e6]
+        solve_friction_sweep(mesh, data, alphas)
+        fe = build_taylor_hood(mesh)
+        plan = build_constraint_plan(fe, dataclasses.replace(data, alpha=1.0))
+        A_visc, B = assemble_viscous(fe), assemble_divergence(fe)
+        ell = assemble_load(fe, data)
+        assert len(matrices) == len(alphas)
+        for alpha, (got,) in zip(alphas, matrices):
+            want = apply_plan(plan, A_visc + assemble_friction(fe, alpha),
+                              B, ell).matrix
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+            fill = [lu.L.nnz + lu.U.nnz for lu in (
+                symmetric_lu(got.tocsc()), symmetric_lu(want.tocsc()))]
+            assert fill[0] == fill[1]
 
 
 class TestClampedReference:
