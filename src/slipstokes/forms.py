@@ -75,7 +75,9 @@ def assemble_viscous(fe, quad_order=4):
     local = np.block([[2.0 * k[:, 0, 0] + k[:, 1, 1], k[:, 1, 0]],
                       [k[:, 0, 1], 2.0 * k[:, 1, 1] + k[:, 0, 0]]])
     dofs = _vector_dofs(fe, fe.tri_vnodes)
-    return _scatter(local, dofs, dofs, (fe.num_velocity_dofs,) * 2)
+    mat = _scatter(local, dofs, dofs, (fe.num_velocity_dofs,) * 2)
+    mat.eliminate_zeros()
+    return mat
 
 
 def assemble_velocity_mass(fe, quad_order=4):

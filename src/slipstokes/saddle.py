@@ -4,9 +4,17 @@ One sparse LU factorization (SuperLU via scipy) handles both the symmetric
 Stokes systems and the convection-augmented unsymmetric ones, whose
 sparsity pattern ``A + C`` is still structurally symmetric.  SuperLU runs
 in its symmetric mode: a minimum-degree ordering of the pattern of
-``M^T + M`` applied to rows and columns alike, with static diagonal
-pivots (no row interchanges).  This keeps the fill of the saddle systems
-close to that of a symmetric factorization.
+``M^T + M`` applied to rows and columns alike, pivoting on the diagonal
+wherever it is nonzero when its column is reached.  Pressures and
+multipliers have a zero diagonal, so each such unknown is steered to
+follow its mate, the neighbour of nonzero diagonal it couples to most
+strongly: its column gets explicit zeros on the mate's pattern, and the
+ordering then eliminates the mate first, which fills the diagonal (the
+compressed-graph idea of Duff and Pralet, SIAM J. Matrix Anal. Appl. 27,
+2005).  The pressure-gauge multiplier couples to pressures only and has
+no mate; it may trade pivot rows with one pressure.  This keeps the fill
+of the saddle systems, clamped ones included, close to that of a
+symmetric factorization.
 
 Static pivots say nothing about singularity, so it is detected on the
 symmetrically equilibrated matrix ``D M D``: starting from
@@ -58,15 +66,72 @@ class SaddleSystem:
     multipliers: tuple = ()
 
 
-def symmetric_lu(mat):
-    """SuperLU factors of a structurally symmetric CSC matrix.
+def _ranges(starts, counts):
+    """The concatenated ranges ``starts[k] : starts[k] + counts[k]``."""
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return shift + np.arange(shift.size)
+
+
+def _steered(matrix):
+    """``matrix`` as CSC, zero-diagonal columns padded to their mates' patterns.
+
+    The mate of a column ``j`` with ``m_jj == 0`` is the row ``i`` of
+    largest ``|m_ij| > 0`` among those with ``m_ii != 0`` (the first such
+    row on a tie); a column without one is left alone.  Column ``j`` gets
+    an explicit zero in every row of the mate's pattern in ``M^T + M``
+    (its column and its row) that it lacks, so ``j`` is adjacent to
+    everything the mate is adjacent to.  Values are unchanged, and a
+    matrix with a nonzero diagonal is returned as ``matrix.tocsc()``.
+    """
+    mat = matrix.tocsc()
+    diag = mat.diagonal()
+    cols = np.flatnonzero(diag == 0.0)
+    counts = np.diff(mat.indptr)[cols]
+    cols, counts = cols[counts > 0], counts[counts > 0]
+    if not cols.size:
+        return mat
+    at = _ranges(mat.indptr[cols], counts)
+    rows = mat.indices[at]
+    weight = np.where(diag[rows] != 0.0, np.abs(mat.data[at]), 0.0)
+    best = np.maximum.reduceat(weight, np.cumsum(counts) - counts)
+    hits = np.flatnonzero(weight == np.repeat(best, counts))
+    group = np.repeat(np.arange(cols.size), counts)[hits]
+    first = hits[np.concatenate([[True], group[1:] != group[:-1]])]
+    cols, mates = cols[best > 0.0], rows[first[best > 0.0]]
+    patterns = (mat, matrix.tocsr())
+    lengths = [np.diff(p.indptr)[mates] for p in patterns]
+    extra = np.concatenate([p.indices[_ranges(p.indptr[mates], k)]
+                            for p, k in zip(patterns, lengths)])
+    where = np.concatenate([np.repeat(mat.indptr[cols + 1], k)
+                            for k in lengths])
+    added = np.zeros(mat.shape[1], dtype=np.int64)
+    added[cols] = lengths[0] + lengths[1]
+    steered = sparse.csc_matrix(
+        (np.insert(mat.data, where, 0.0), np.insert(mat.indices, where, extra),
+         mat.indptr + np.concatenate([[0], np.cumsum(added)])),
+        shape=mat.shape)
+    # Rows the column already holds merge with their zero: x + 0.0 == x.
+    steered.sum_duplicates()
+    return steered
+
+
+def symmetric_lu(matrix):
+    """SuperLU factors of a structurally symmetric sparse matrix.
 
     Symmetric mode: ``MMD_AT_PLUS_A`` ordering applied to rows and columns
-    alike, static diagonal pivots (``diag_pivot_thresh=0``).  Raises
-    scipy's ``RuntimeError`` on an exactly singular factorization.
+    alike, and the diagonal pivot wherever it is nonzero
+    (``diag_pivot_thresh=0``).  A zero diagonal (a pressure or multiplier)
+    stays zero if the ordering reaches it before every neighbour it
+    couples to, and SuperLU then swaps rows, at a large cost in fill.  So
+    each zero-diagonal column first gets explicit zeros on the pattern of
+    its mate (``_steered``): adjacent to everything the mate is adjacent
+    to, it is ordered after the mate, whose elimination fills its
+    diagonal.  A matrix with a nonzero diagonal reaches SuperLU as
+    ``matrix.tocsc()``.  Raises scipy's ``RuntimeError`` on an exactly
+    singular factorization.
     """
-    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+    return spla.splu(_steered(matrix), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 def _equilibration(a):
@@ -120,16 +185,15 @@ def factorize(matrix, pivot_rtol=PIVOT_RTOL):
     NumericalError
         On non-finite entries or a non-square matrix.
     """
-    mat = matrix.tocsc()
-    if mat.nnz and not np.isfinite(mat.data).all():
+    if matrix.nnz and not np.isfinite(matrix.data).all():
         raise NumericalError("non-finite entries in system matrix")
-    if mat.shape[0] != mat.shape[1]:
-        raise NumericalError(f"shape mismatch: matrix {mat.shape}")
+    if matrix.shape[0] != matrix.shape[1]:
+        raise NumericalError(f"shape mismatch: matrix {matrix.shape}")
 
-    a = abs(mat).tocsr()
+    a = abs(matrix).tocsr()
     d = _equilibration(a)
     try:
-        lu = symmetric_lu(mat)
+        lu = symmetric_lu(matrix)
     except RuntimeError as exc:
         raise SingularSystem(f"sparse factorization failed: {exc}") from exc
     rcond = _equilibrated_rcond(a, lu, d)

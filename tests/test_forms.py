@@ -284,3 +284,10 @@ class TestRotationFunctional:
         n = fe.num_velocity_nodes
         for idx in np.nonzero(g)[0]:
             assert int(idx) % n in trace
+
+
+@pytest.mark.parametrize("mesh", [make_unit_square(8), make_disk(2)],
+                         ids=["square8", "disk2"])
+def test_viscous_form_stores_no_exact_zeros(mesh):
+    A = forms.assemble_viscous(build_taylor_hood(mesh))
+    assert A.has_canonical_format and (A.data != 0.0).all()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -5,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from slipstokes import (apply_plan, assemble_convection_skew,
+                        assemble_divergence, assemble_friction,
+                        assemble_velocity_h1, assemble_viscous,
+                        build_constraint_plan, build_dirichlet_plan,
+                        build_taylor_hood, interpolate, make_disk,
+                        make_unit_square, navier_stokes_mms, sweep_forcing)
 from slipstokes.errors import NumericalError, SingularSystem
 from slipstokes import saddle
 from slipstokes.saddle import (SaddleSystem, factor_solve, factorize,
-                               krylov_solve)
+                               krylov_solve, symmetric_lu)
 
 
 def random_spd_saddle(n=40, m=12, seed=0):
@@ -155,3 +163,121 @@ def test_gate_is_invariant_under_diagonal_scaling(seed, exponents):
     assert state[2:] == after[2:]
     assert np.abs(y - x / d).max() <= 1e-8 * np.abs(x / d).max()
     assert np.abs(d * y - x).max() <= 1e-8 * np.abs(x).max()
+
+
+def mesh_system(mesh, plan, alpha=1.0, convection=False):
+    """The bordered system ``solve_stokes`` factors on ``mesh``.
+
+    ``plan`` is "slip" (with the disk guard at vanishing friction) or
+    "clamped"; ``convection`` adds the Picard term ``C(u)`` at the
+    manufactured Navier-Stokes velocity, as a Picard sweep does.
+    """
+    fe = build_taylor_hood(mesh)
+    data = dataclasses.replace(sweep_forcing(), alpha=alpha)
+    plan = (build_dirichlet_plan(fe) if plan == "clamped"
+            else build_constraint_plan(fe, data))
+    A = assemble_viscous(fe) + assemble_friction(fe, alpha)
+    system = apply_plan(plan, A, assemble_divergence(fe),
+                        np.zeros(fe.num_velocity_dofs))
+    if convection:
+        u = interpolate(fe, navier_stokes_mms(alpha)["u"].value, "velocity")
+        C = plan.reduce(assemble_convection_skew(fe, u))
+        C.resize(system.matrix.shape)
+        system = dataclasses.replace(system, matrix=system.matrix + C)
+    return system
+
+
+# Held for the whole module, so every case on a mesh shares one system.
+MESHES = {"square16": make_unit_square(16), "square32": make_unit_square(32),
+          "disk3": make_disk(3)}
+
+
+class TestStaticPivots:
+    """Each zero-diagonal unknown is ordered after its mate: no row swaps."""
+
+    @pytest.mark.parametrize("mesh,plan,alpha,convection", [
+        ("square16", "slip", 1.0, False), ("square16", "clamped", 1.0, False),
+        ("square32", "slip", 1.0, False), ("square32", "clamped", 1.0, False),
+        ("disk3", "slip", 0.0, False), ("disk3", "slip", 1.0, False),
+        ("disk3", "clamped", 1.0, False),
+        ("square16", "slip", 1.0, True), ("square16", "clamped", 1.0, True),
+    ], ids=["square16-slip", "square16-clamped", "square32-slip",
+            "square32-clamped", "disk3-guarded", "disk3-slip", "disk3-clamped",
+            "ns-square16-slip", "ns-square16-clamped"])
+    def test_no_row_interchanges(self, mesh, plan, alpha, convection):
+        system = mesh_system(MESHES[mesh], plan, alpha, convection)
+        lu = factorize(system.matrix)
+        assert (lu.perm_r == lu.perm_c).all()
+
+    def test_clamped_fill_is_that_of_the_slip_system(self):
+        # Row swaps made the clamped square-32 fill 6.4 times the slip one.
+        clamped, slip = (factorize(mesh_system(MESHES["square32"], p).matrix)
+                         for p in ("clamped", "slip"))
+        assert clamped.L.nnz + clamped.U.nnz <= 1.1 * (slip.L.nnz + slip.U.nnz)
+
+    @pytest.mark.parametrize("convection", [False, True],
+                             ids=["stokes", "picard"])
+    def test_steering_pads_columns_to_the_mate_pattern(self, convection):
+        K = mesh_system(make_unit_square(7), "clamped", 1.0, convection).matrix
+        # Entries that cancel to 0.0 on one side of the diagonal only leave
+        # this pattern unsymmetric, so a mate's row and column differ.
+        pattern = abs(K) > 0.0
+        assert (pattern != pattern.T).nnz
+        steered = saddle._steered(K)
+        assert steered.format == "csc" and steered.has_canonical_format
+        assert np.array_equal(steered.toarray(), K.toarray())
+        dense, d = K.toarray(), K.diagonal()
+        csc, csr = K.tocsc(), K.tocsr()
+
+        def rows(m, k):
+            return set(m.indices[m.indptr[k]:m.indptr[k + 1]].tolist())
+
+        for j in range(K.shape[0]):
+            want = rows(csc, j)
+            # The mate: largest coupling among rows of nonzero diagonal.
+            weight = np.where(d != 0.0, np.abs(dense[:, j]), 0.0)
+            if d[j] == 0.0 and weight.max() > 0.0:
+                mate = int(np.argmax(weight))
+                want |= rows(csc, mate) | rows(csr, mate)
+            assert rows(steered, j) == want
+
+    def test_nonzero_diagonal_reaches_splu_unchanged(self, monkeypatch):
+        received = []
+        splu = saddle.spla.splu
+        monkeypatch.setattr(saddle.spla, "splu", lambda mat, **kw: (
+            received.append(mat) or splu(mat, **kw)))
+        fe = build_taylor_hood(make_unit_square(4))
+        plan = build_constraint_plan(fe, sweep_forcing())
+        spd = plan.reduce(assemble_velocity_h1(fe))
+        csc = spd.tocsc()
+        symmetric_lu(csc)
+        assert received[-1] is csc
+        factorize(spd)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(received[-1], name),
+                                  getattr(csc, name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=st.sampled_from([("square", level) for level in range(2, 17)]
+                            + [("disk", level) for level in (1, 2, 3)]),
+       plan=st.sampled_from(["slip", "clamped"]),
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 1e12)))
+def test_only_the_pressure_gauge_trades_pivot_rows(mesh, plan, alpha):
+    # The gauge multiplier couples to pressures only, so it has no mate.
+    # When the ordering reaches it before every pressure, or the last
+    # pressure's Schur diagonal is the exact zero of the hydrostatic mode,
+    # the two trade pivot rows; no other unknown leaves its diagonal.
+    domain, level = mesh
+    system = mesh_system(make_unit_square(level) if domain == "square"
+                         else make_disk(level), plan, alpha)
+    lu = symmetric_lu(system.matrix)
+    swapped = np.flatnonzero(lu.perm_r != lu.perm_c)
+    gauge = system.n_velocity + system.n_pressure
+    assert system.multipliers[0] == "pressure_gauge"
+    if swapped.size:
+        other = int(swapped[swapped != gauge][0])
+        assert swapped.tolist() == sorted([gauge, other])
+        assert system.n_velocity <= other < gauge
+        assert lu.perm_r[gauge] == lu.perm_c[other]
+        assert lu.perm_r[other] == lu.perm_c[gauge]
