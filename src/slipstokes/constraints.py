@@ -191,6 +191,4 @@ def apply_plan(plan, A, B, ell):
         rhs.append(np.zeros(1))
     matrix = sparse.bmat(blocks, format="csr")
     matrix.sort_indices()
-    return SaddleSystem(matrix=matrix, rhs=np.concatenate(rhs),
-                        n_velocity=len(f), n_pressure=plan.n_pressure,
-                        multipliers=plan.labels)
+    return SaddleSystem(matrix=matrix, rhs=np.concatenate(rhs))

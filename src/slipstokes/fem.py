@@ -170,6 +170,10 @@ class FeSystem:
             self._grad_cache[key] = g
         return self._grad_cache[key]
 
+    def weights(self, rule):
+        """Quadrature weights times the Jacobian determinant, (nq, nt)."""
+        return rule.tri_weights[:, None] * self.det[None, :]
+
     def slip_plan(self):
         """The data-free slip plan of this mesh, built once and then shared.
 
@@ -318,26 +322,35 @@ def norms(fe, coeffs, quad_order=4):
                           "neither velocity nor pressure space")
 
 
-def _velocity_norms(fe, coeffs, rule):
-    ux, uy = split_components(fe, coeffs)
+def _velocity_at(fe, coeffs, rule):
+    """``[(u_x, grad u_x), (u_y, grad u_y)]`` at the quadrature points."""
     vals = p2_values(rule.tri_points)                    # (nq, 6)
     grads = fe.physical_grads(rule)                      # (nq, nt, 6, 2)
-    ex = ux[fe.tri_vnodes]                               # (nt, 6)
-    ey = uy[fe.tri_vnodes]
-    w = rule.tri_weights[:, None] * fe.det[None, :]      # (nq, nt)
+    out = []
+    for u in split_components(fe, coeffs):
+        e = u[fe.tri_vnodes]                             # (nt, 6)
+        out.append((np.einsum("qk,tk->qt", vals, e),
+                    np.einsum("qtka,tk->qta", grads, e)))
+    return out
 
-    vx = np.einsum("qk,tk->qt", vals, ex)
-    vy = np.einsum("qk,tk->qt", vals, ey)
+
+def _pressure_at(fe, coeffs, rule):
+    """Values (nq, nt) of a P1 pressure at the triangle quadrature points."""
+    return np.einsum("qk,tk->qt", p1_values(rule.tri_points),
+                     np.asarray(coeffs)[fe.tri_pnodes])
+
+
+def _velocity_norms(fe, coeffs, rule):
+    (vx, gx), (vy, gy) = _velocity_at(fe, coeffs, rule)
+    w = fe.weights(rule)
     l2sq = float(np.sum(w * (vx ** 2 + vy ** 2)))
-
-    gx = np.einsum("qtka,tk->qta", grads, ex)            # grad of u_x
-    gy = np.einsum("qtka,tk->qta", grads, ey)
     h1sq = float(np.sum(w * (gx[..., 0] ** 2 + gx[..., 1] ** 2
                              + gy[..., 0] ** 2 + gy[..., 1] ** 2)))
     divsq = float(np.sum(w * (gx[..., 0] + gy[..., 1]) ** 2))
     vorticity = gy[..., 0] - gx[..., 1]
 
     mesh = fe.mesh
+    ux, uy = split_components(fe, coeffs)
     tn = fe.boundary_trace_nodes()
     shapes = segment_p2_values(rule.seg_points)          # (ns, 3)
     lengths = mesh.boundary_lengths()
@@ -352,13 +365,9 @@ def _velocity_norms(fe, coeffs, rule):
 
 
 def _pressure_norms(fe, coeffs, rule):
-    vals = p1_values(rule.tri_points)                    # (nq, 3)
-    e = coeffs[fe.tri_pnodes]                            # (nt, 3)
-    w = rule.tri_weights[:, None] * fe.det[None, :]
-    v = np.einsum("qk,tk->qt", vals, e)
-    l2sq = float(np.sum(w * v ** 2))
+    l2sq = float(np.sum(fe.weights(rule) * _pressure_at(fe, coeffs, rule) ** 2))
     g = np.einsum("tab,kb->tka", fe.inv_jac_t, p1_ref_grads())   # (nt, 3, 2)
-    ge = np.einsum("tka,tk->ta", g, e)
+    ge = np.einsum("tka,tk->ta", g, coeffs[fe.tri_pnodes])
     h1sq = float(np.sum(0.5 * fe.det * (ge[:, 0] ** 2 + ge[:, 1] ** 2)))
     return NormReport(np.sqrt(l2sq), np.sqrt(h1sq))
 
@@ -377,23 +386,17 @@ def velocity_error_h1(fe, coeffs, exact, exact_grad, quad_order=6):
     Returns ``(l2_error, h1_error)`` with the full H1 norm.
     """
     rule = quadrature(quad_order)
-    ux, uy = split_components(fe, coeffs)
-    vals = p2_values(rule.tri_points)
-    grads = fe.physical_grads(rule)
-    ex, ey = ux[fe.tri_vnodes], uy[fe.tri_vnodes]
-    w = rule.tri_weights[:, None] * fe.det[None, :]
+    (vx, gxh), (vy, gyh) = _velocity_at(fe, coeffs, rule)
+    w = fe.weights(rule)
     pts = fe.quad_coords(rule)
     flat = pts.reshape(-1, 2)
     uex = np.asarray(exact(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], 2)
     gex = np.asarray(exact_grad(flat), dtype=float).reshape(
         pts.shape[0], pts.shape[1], 2, 2)
 
-    dx = np.einsum("qk,tk->qt", vals, ex) - uex[..., 0]
-    dy = np.einsum("qk,tk->qt", vals, ey) - uex[..., 1]
+    dx = vx - uex[..., 0]
+    dy = vy - uex[..., 1]
     l2sq = float(np.sum(w * (dx ** 2 + dy ** 2)))
-
-    gxh = np.einsum("qtka,tk->qta", grads, ex)
-    gyh = np.einsum("qtka,tk->qta", grads, ey)
     dgx = gxh - gex[..., 0, :]
     dgy = gyh - gex[..., 1, :]
     h1semisq = float(np.sum(w * (dgx ** 2).sum(axis=-1))
@@ -404,10 +407,7 @@ def velocity_error_h1(fe, coeffs, exact, exact_grad, quad_order=6):
 def pressure_error_l2(fe, coeffs, exact, quad_order=6):
     """L2 error of a P1 pressure against a closed form."""
     rule = quadrature(quad_order)
-    vals = p1_values(rule.tri_points)
-    e = np.asarray(coeffs)[fe.tri_pnodes]
-    w = rule.tri_weights[:, None] * fe.det[None, :]
     pts = fe.quad_coords(rule)
     pex = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    d = np.einsum("qk,tk->qt", vals, e) - pex
-    return float(np.sqrt(np.sum(w * d ** 2)))
+    d = _pressure_at(fe, coeffs, rule) - pex
+    return float(np.sqrt(np.sum(fe.weights(rule) * d ** 2)))

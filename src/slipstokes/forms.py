@@ -55,14 +55,9 @@ def _componentwise(fe, local, skew=False):
     return mat
 
 
-def _weights(fe, rule):
-    """Quadrature weights times the Jacobian determinant, shape (nq, nt)."""
-    return rule.tri_weights[:, None] * fe.det[None, :]
-
-
 def _p2_mass(fe, rule):
     vals = fem.p2_values(rule.tri_points)
-    return np.einsum("qt,qi,qj->tij", _weights(fe, rule), vals, vals)
+    return np.einsum("qt,qi,qj->tij", fe.weights(rule), vals, vals)
 
 
 def assemble_viscous(fe, quad_order=4):
@@ -70,7 +65,7 @@ def assemble_viscous(fe, quad_order=4):
     rule = fem.quadrature(quad_order)
     grads = fe.physical_grads(rule)                  # (nq, nt, 6, 2)
     # k[t, a, b] = int d_a(phi_i) d_b(phi_j): rows test, columns trial
-    wg = _weights(fe, rule)[:, :, None, None] * grads
+    wg = fe.weights(rule)[:, :, None, None] * grads
     k = np.einsum("qtia,qtjb->tabij", wg, grads)
     local = np.block([[2.0 * k[:, 0, 0] + k[:, 1, 1], k[:, 1, 0]],
                       [k[:, 0, 1], 2.0 * k[:, 1, 1] + k[:, 0, 0]]])
@@ -89,14 +84,14 @@ def assemble_velocity_h1(fe, quad_order=4):
     """Full H1 Gram matrix: L2 mass plus the full-gradient stiffness."""
     rule = fem.quadrature(quad_order)
     grads = fe.physical_grads(rule)
-    k = np.einsum("qt,qtia,qtja->tij", _weights(fe, rule), grads, grads)
+    k = np.einsum("qt,qtia,qtja->tij", fe.weights(rule), grads, grads)
     return _componentwise(fe, _p2_mass(fe, rule) + k)
 
 
 def assemble_pressure_mass(fe, quad_order=4):
     rule = fem.quadrature(quad_order)
     vals = fem.p1_values(rule.tri_points)
-    local = np.einsum("qt,qi,qj->tij", _weights(fe, rule), vals, vals)
+    local = np.einsum("qt,qi,qj->tij", fe.weights(rule), vals, vals)
     n = fe.num_pressure_dofs
     return _scatter(local, fe.tri_pnodes, fe.tri_pnodes, (n, n))
 
@@ -130,7 +125,7 @@ def assemble_divergence(fe, quad_order=4):
     rule = fem.quadrature(quad_order)
     pvals = fem.p1_values(rule.tri_points)
     grads = fe.physical_grads(rule)
-    local = -np.einsum("qt,qi,qtja->tiaj", _weights(fe, rule), pvals,
+    local = -np.einsum("qt,qi,qtja->tiaj", fe.weights(rule), pvals,
                        grads).reshape(-1, 3, 12)
     return _scatter(local, fe.tri_pnodes, _vector_dofs(fe, fe.tri_vnodes),
                     (fe.num_pressure_dofs, fe.num_velocity_dofs))
@@ -152,7 +147,7 @@ def assemble_load(fe, data, quad_order=6):
     """Right-hand side vector for the momentum equation."""
     rule = fem.quadrature(quad_order)
     vals = fem.p2_values(rule.tri_points)
-    w = _weights(fe, rule)
+    w = fe.weights(rule)
     pts = fe.quad_coords(rule)
     flat = pts.reshape(-1, 2)
     local = np.zeros((len(fe.tri_vnodes), 2, 6))      # [triangle, component, node]
@@ -203,7 +198,7 @@ def assemble_convection_skew(fe, w_coeffs, quad_order=6):
     wqy = np.einsum("qk,tk->qt", vals, wy[fe.tri_vnodes])
     # (w . grad) phi_j at each quadrature point
     adv = wqx[:, :, None] * grads[..., 0] + wqy[:, :, None] * grads[..., 1]
-    s = np.einsum("qt,qi,qtj->tij", _weights(fe, rule), vals, adv)  # (nt, 6, 6)
+    s = np.einsum("qt,qi,qtj->tij", fe.weights(rule), vals, adv)  # (nt, 6, 6)
     return _componentwise(fe, s, skew=True)
 
 

@@ -300,7 +300,7 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0):
         raise InvalidArgument("coercivity constant vanishes; indicator undefined")
 
     rule = fem.quadrature(6)           # the load assembly's rule
-    w = rule.tri_weights[:, None] * fe.det[None, :]
+    w = fe.weights(rule)
     pts = fe.quad_coords(rule)
     flat = pts.reshape(-1, 2)
     data_norm = 0.0

@@ -57,13 +57,10 @@ KRYLOV_MAXITER = 50
 
 @dataclass
 class SaddleSystem:
-    """A reduced linear system plus bookkeeping for its block structure."""
+    """A reduced linear system: its matrix and right-hand side."""
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
-    n_velocity: int
-    n_pressure: int
-    multipliers: tuple = ()
 
 
 def _ranges(starts, counts):

@@ -1,37 +1,36 @@
 """Discrete spectral constants: Korn quotients, inf-sup, rotation inequalities.
 
 All eigenproblems are posed on the impermeability-constrained spaces.
-The Korn and rotation-moment constants come from shift-inverted Lanczos
-(ARPACK through ``eigsh``) about ``SIGMA`` with a deterministic start
-vector, at every problem size, and the inf-sup Schur complement is
-formed by sparse solves.
-
-Every sparse factorization here goes through ``saddle.symmetric_lu``:
-SuperLU's symmetric mode, a minimum-degree ordering of the symmetric
-pattern with static diagonal pivots.  Each factored matrix is symmetric
-positive definite (the H1 Gram matrix, or ``A - SIGMA M`` with ``A``
-positive semidefinite, ``M`` positive definite and ``SIGMA < 0``), so
-Gaussian elimination without pivoting is as stable as a Cholesky
-factorization, and its fill is that of a symmetric factorization.  The
-factors are handed to ``eigsh`` as ``OPinv``, so ARPACK never factors on
-its own.  Both rotation-moment inequalities share one factorization of
-``A - SIGMA M``; their rank-one terms enter by Sherman-Morrison.
+Each constant is one shift-invert Lanczos run (ARPACK through ``eigsh``)
+about ``SIGMA``, with a deterministic start vector, on one factorization
+by ``saddle.symmetric_lu`` (SuperLU's symmetric mode: minimum-degree
+ordering, static diagonal pivots), handed to ``eigsh`` as ``OPinv`` so
+that ARPACK never factors on its own.  Korn and the rotation moments
+factor the positive definite ``A - SIGMA M`` (``A`` semidefinite,
+``SIGMA < 0``); the two moments share it, their rank-one terms entering
+by Sherman-Morrison.  The inf-sup constant factors the quasi-definite
+``[[K, B^T], [B, SIGMA M_p]]``, stable in any symmetric order (Vanderbei,
+SIAM J. Optim. 5, 1995), whose pressure block inverts the shifted Schur
+complement.
 
 Eigenvalues below a rank-style floor (machine epsilon times problem size)
 are reported as exactly zero, which is how the disk kernel shows up: the
 interpolated rigid rotation satisfies every nodal constraint exactly, so
 the constrained strain form is singular to machine precision, not merely
-small.
+small.  The inf-sup constant deflates its known zero, the constant
+pressure, exactly; it needs the constant in ``ker B^T`` and refuses a
+mesh where it is not.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import fem, forms
-from .errors import InvalidArgument, SingularSystem
+from .errors import InvalidArgument
 from .fields import rigid_rotation
 from .saddle import symmetric_lu
 
@@ -39,8 +38,6 @@ FLOOR_FACTOR = 100.0
 # Shift of the shift-invert Lanczos runs.  Negative, so A - SIGMA * M stays
 # positive definite even when A itself is singular (the kernel case).
 SIGMA = -0.1
-# Pressure columns per sparse solve when forming the inf-sup Schur complement.
-SCHUR_BLOCK = 64
 
 
 @dataclass
@@ -67,20 +64,21 @@ def _zero_floor(n):
     return FLOOR_FACTOR * n * np.finfo(float).eps
 
 
-def _smallest_eig(A, M, solve):
-    """Smallest eigenvalue of the symmetric pencil (A, M), M positive definite.
+def _smallest_eig(M, solve):
+    """Smallest eigenvalue of a symmetric pencil (A, M), M positive definite.
 
     Shift-invert Lanczos about ``SIGMA < 0`` at every size, with ``solve``
-    applying ``(A - SIGMA * M)^{-1}``; ``A`` fixes only the shape.  The
-    shifted operator is positive definite even when ``A`` is singular, so
-    its static-pivot ``symmetric_lu`` factors are stable, and the smallest
-    eigenvalue is the one nearest the shift.  The start vector comes from
-    a fixed seed, so numpy's global random state is untouched.
+    applying ``(A - SIGMA * M)^{-1}``, so ``A`` itself is never needed.
+    The shifted operator is positive definite even when ``A`` is singular,
+    and the smallest eigenvalue is the one nearest the shift.  The start
+    vector comes from a fixed seed, so numpy's global random state is
+    untouched.
     """
-    n = A.shape[0]
+    n = M.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n)
     inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-    vals = spla.eigsh(A, k=1, M=M.tocsc(), sigma=SIGMA, which="LM",
+    # In shift-invert mode eigsh reads only the shape of its first argument.
+    vals = spla.eigsh(inv, k=1, M=M.tocsc(), sigma=SIGMA, which="LM",
                       v0=v0, OPinv=inv, return_eigenvectors=False)
     return float(vals[0])
 
@@ -101,38 +99,12 @@ def korn_quotient_min(mesh, alpha=0.0):
     M_red = plan.reduce(forms.assemble_velocity_h1(fe))
     n = A_red.shape[0]
     lu = symmetric_lu((A_red - SIGMA * M_red).tocsc())
-    lam = _smallest_eig(A_red, M_red, lu.solve)
+    lam = _smallest_eig(M_red, lu.solve)
     floor = _zero_floor(n)
     constant = 0.0 if lam < floor else float(lam)
     return SpectralReport(constant=constant, mesh_size=mesh.mesh_size(),
                           n_dofs=n, alpha_descriptor=_alpha_descriptor(alpha),
                           floor=floor, detail={"raw_eigenvalue": float(lam)})
-
-
-def _divergence_schur(mesh, dense):
-    """Schur complement S = B K^{-1} B^T with K the constrained H1 Gram.
-
-    ``K`` is symmetric positive definite.  The sparse path factors it once
-    with ``symmetric_lu`` and forms ``S`` in blocks of ``SCHUR_BLOCK``
-    pressure columns, so the velocity-by-pressure solution ``K^{-1} B^T``
-    is never held whole.  The dense path (the ``cross_check`` oracle)
-    solves with a dense Cholesky factorization.
-    """
-    fe = fem.build_taylor_hood(mesh)
-    plan = fe.slip_plan()
-    K = plan.reduce(forms.assemble_velocity_h1(fe))
-    T = plan.rotation
-    B = (forms.assemble_divergence(fe) @ T).tocsr()[:, plan.free]
-    Mp = forms.assemble_pressure_mass(fe)
-    Bt = B.T.toarray(order="F")
-    if dense:
-        X = scipy.linalg.solve(K.toarray(), Bt, assume_a="pos")
-        S = B @ X
-    else:
-        lu = symmetric_lu(K.tocsc())
-        S = np.hstack([B @ lu.solve(Bt[:, j:j + SCHUR_BLOCK])
-                       for j in range(0, Bt.shape[1], SCHUR_BLOCK)])
-    return np.asarray(S), Mp.toarray(), K.shape[0], fe
 
 
 def infsup_constant(mesh, alpha=0.0, cross_check=False):
@@ -141,30 +113,55 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False):
     gamma = min over mean-free pressures of
             sqrt( q^T B K^{-1} B^T q / q^T M_p q )
 
+    with ``K`` the constrained H1 Gram matrix.  ``S = B K^{-1} B^T`` is
+    never formed: with ``Q = [[K, B^T], [B, SIGMA * M_p]]``, the pressure
+    block of ``Q^{-1}`` is ``-(S - SIGMA * M_p)^{-1}``.  The diagonal of
+    ``Q`` is nonzero, so nothing is steered.  Each solve is projected
+    M_p-orthogonally off the constant pressure, the eigenvalue-0 mode.
+    That deflation is exact only if ``B^T 1 = 0``: a mesh with ``|B^T 1|``
+    above the rank floor times ``max |B|`` (a curvature-tagged rim with
+    unequal edges) raises ``InvalidArgument``.  A minimum below the floor
+    is reported as 0, with two zero modes.
+
     Neither the pairing nor the constrained space depends on the friction
     coefficient, so the report is bitwise identical across any alpha sweep;
-    alpha only labels the report.
+    alpha only labels the report.  ``cross_check`` adds the dense ``eigh``
+    of the formed ``S`` as ``detail["dense_oracle"]``.
     """
-    S, Mp, n_vel, fe = _divergence_schur(mesh, dense=False)
-    vals = scipy.linalg.eigh(S, Mp, eigvals_only=True)
-    floor = _zero_floor(len(vals)) * max(vals.max(), 1.0)
-    positive = vals[vals > floor]
-    if positive.size == 0:
-        raise SingularSystem("divergence coupling has no positive spectrum")
-    gamma = float(np.sqrt(positive[0]))
-    detail = {"zero_modes": int(len(vals) - len(positive))}
+    fe = fem.build_taylor_hood(mesh)
+    plan = fe.slip_plan()
+    K = plan.reduce(forms.assemble_velocity_h1(fe))
+    B = (forms.assemble_divergence(fe) @ plan.rotation).tocsr()[:, plan.free]
+    Mp = forms.assemble_pressure_mass(fe)
+    n_p, n_vel = B.shape
+    floor = _zero_floor(n_p)
+    ones = np.ones(n_p)
+    leak = np.abs(B.T @ ones).max()
+    if leak > floor * abs(B).max():
+        raise InvalidArgument("constant pressure outside ker B^T: "
+                              f"|B^T 1| = {leak:.2e}")
+    lu = symmetric_lu(sparse.bmat([[K, B.T], [B, SIGMA * Mp]], format="csc"))
+    mass_one = Mp @ ones
+    mass_one /= mass_one.sum()
+
+    def solve(q):
+        y = -lu.solve(np.concatenate([np.zeros(n_vel), q]))[n_vel:]
+        return y - mass_one @ y
+
+    lam = _smallest_eig(Mp, solve)
+    small = lam < floor
+    detail = {"zero_modes": 1 + int(small)}
     if cross_check:
-        S2, Mp2, _, _ = _divergence_schur(mesh, dense=True)
-        vals2 = scipy.linalg.eigh(S2, Mp2, eigvals_only=True)
-        pos2 = vals2[vals2 > floor]
-        detail["dense_oracle"] = float(np.sqrt(pos2[0]))
-    return SpectralReport(constant=gamma, mesh_size=mesh.mesh_size(),
-                          n_dofs=n_vel,
+        S = B @ scipy.linalg.solve(K.toarray(), B.T.toarray(), assume_a="pos")
+        vals = scipy.linalg.eigh(S, Mp.toarray(), eigvals_only=True)
+        detail["dense_oracle"] = float(np.sqrt(vals[vals > floor][0]))
+    return SpectralReport(constant=0.0 if small else float(np.sqrt(lam)),
+                          mesh_size=mesh.mesh_size(), n_dofs=n_vel,
                           alpha_descriptor=_alpha_descriptor(alpha),
                           floor=floor, detail=detail)
 
 
-def _rank_one_smallest(A, g, M, lu):
+def _rank_one_smallest(g, M, lu):
     """Smallest eigenvalue of (A + g g^T, M) without densifying the rank-1 term.
 
     ``lu`` factors ``A - SIGMA * M``.
@@ -177,7 +174,7 @@ def _rank_one_smallest(A, g, M, lu):
         y = lu.solve(x)
         return y - w * (g @ y) / denom
 
-    return _smallest_eig(A, M, op)
+    return _smallest_eig(M, op)
 
 
 def beta_inequality_checks(mesh):
@@ -214,7 +211,7 @@ def beta_inequality_checks(mesh):
     lu = symmetric_lu((A_half - SIGMA * M_l2).tocsc())
     reports = {}
     for name, g in (("volume", g_vol), ("boundary", g_bnd)):
-        lam = _rank_one_smallest(A_half, g, M_l2, lu)
+        lam = _rank_one_smallest(g, M_l2, lu)
         constant = 0.0 if lam < floor else float(lam)
         reports[name] = SpectralReport(
             constant=constant, mesh_size=mesh.mesh_size(), n_dofs=n,

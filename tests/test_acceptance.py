@@ -165,6 +165,18 @@ def test_criterion_08_infsup():
                    f"{dense_dev:.1e} <= 1e-8")
 
 
+def test_criterion_08_variation_at_scale():
+    # Criterion 08's variation check, carried to square 64 and disk 5.
+    for name, meshes in (
+            ("square", [make_unit_square(n) for n in (4, 8, 16, 64)]),
+            ("disk", [make_disk(level) for level in (1, 2, 3, 4, 5)])):
+        constants = [infsup_constant(mesh).constant for mesh in meshes]
+        variation = (max(constants) - min(constants)) / max(constants)
+        print(f"{name}: inf-sup {min(constants):.5f} to {max(constants):.5f}, "
+              f"variation {100 * variation:.2f}% < 10%")
+        assert variation < 0.10
+
+
 def test_criterion_09_navier_stokes_suite():
     mesh = make_unit_square(4)
     fe = build_taylor_hood(mesh)

@@ -168,7 +168,7 @@ class TestApplyPlan:
         dim = len(plan.free) + plan.n_pressure + 2   # gauge + guard rows
         assert sys.matrix.shape == (dim, dim)
         assert sys.rhs.shape == (dim,)
-        assert sys.multipliers == ("pressure_gauge", "kernel_guard")
+        assert plan.labels == ("pressure_gauge", "kernel_guard")
         d = (sys.matrix - sys.matrix.T).tocoo()
         assert d.nnz == 0 or float(np.abs(d.data).max()) < 1e-13
 

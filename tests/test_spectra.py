@@ -10,6 +10,7 @@ from slipstokes import (beta_inequality_checks, fem, forms, infsup_constant,
 from slipstokes.constraints import build_constraint_plan
 from slipstokes.errors import InvalidArgument
 from slipstokes.fields import ProblemData, rigid_rotation
+from slipstokes.mesh import TriMesh
 from slipstokes.saddle import symmetric_lu
 
 
@@ -82,19 +83,39 @@ class TestInfSup:
         rep = infsup_constant(make_unit_square(4), cross_check=True)
         assert abs(rep.detail["dense_oracle"] - rep.constant) <= 1e-8
 
-    @pytest.mark.parametrize("domain,level", [("square", 8), ("disk", 3)])
-    def test_blocked_schur_matches_dense(self, domain, level):
-        # More pressure unknowns than one block, and not a multiple of it,
-        # so the block loop runs several times and ends on a partial block.
-        mesh = _mesh(domain, level)
-        n_p = mesh.num_vertices
-        assert n_p > spectra.SCHUR_BLOCK and n_p % spectra.SCHUR_BLOCK
-        S, _, _, _ = spectra._divergence_schur(mesh, dense=False)
-        S_dense, _, _, _ = spectra._divergence_schur(mesh, dense=True)
-        assert np.abs(S - S_dense).max() <= 1e-12 * np.abs(S_dense).max()
-        rep = infsup_constant(mesh, cross_check=True)
+    @pytest.mark.parametrize("domain,level", [
+        ("square", 1), ("square", 2), ("square", 8), ("disk", 0), ("disk", 3)])
+    def test_lanczos_matches_dense_oracle(self, domain, level):
+        # The deflated Lanczos minimum is the dense pencil's smallest
+        # eigenvalue above the hydrostatic zero.
+        rep = infsup_constant(_mesh(domain, level), cross_check=True)
         assert abs(rep.detail["dense_oracle"] - rep.constant) <= 1e-10 * rep.constant
         assert rep.detail["zero_modes"] == 1
+
+    def test_refuses_constant_pressure_outside_kernel(self):
+        # Rim vertices moved along the circle to unequal edges: the nodal
+        # impermeability constraints no longer make the mean flux vanish,
+        # so B^T 1 != 0 and the deflation would not be exact.
+        disk = make_disk(2)
+        vertices = disk.vertices.copy()
+        rim = disk.boundary_edges[:, 0]
+        theta = np.arctan2(vertices[rim, 1], vertices[rim, 0])
+        theta += 0.08 * np.sin(3 * theta)
+        vertices[rim] = np.column_stack([np.cos(theta), np.sin(theta)])
+        mids = vertices[disk.boundary_edges].mean(axis=1)
+        mesh = TriMesh(vertices, disk.triangles, disk.boundary_edges,
+                       disk.boundary_markers,
+                       mids / np.hypot(mids[:, 0], mids[:, 1])[:, None],
+                       disk.boundary_kappa, disk.domain_tag)
+        with pytest.raises(InvalidArgument):
+            infsup_constant(mesh)
+
+    def test_minimum_below_floor_snaps_to_zero(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_smallest_eig",
+                            lambda M, solve: 0.5 * spectra._zero_floor(M.shape[0]))
+        rep = infsup_constant(make_unit_square(2))
+        assert rep.constant == 0.0
+        assert rep.detail["zero_modes"] == 2
 
     def test_disk_also_stable(self):
         c1 = infsup_constant(make_disk(1)).constant
