@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 
-from . import fem, forms
-from .fields import sample_alpha
+from . import forms
 from .mesh import boundary_frames
 from .saddle import SaddleSystem
 
@@ -103,6 +102,18 @@ def _rotation_matrix(fe, frames):
     return T
 
 
+def _gauged_plan(fe, rotation, eliminated):
+    """The plan eliminating the unique ``eliminated`` after ``rotation``,
+    with the pressure gauge and no guard."""
+    n = fe.num_velocity_dofs
+    return ConstraintPlan(
+        n_velocity=n, n_pressure=fe.num_pressure_dofs, rotation=rotation,
+        eliminated=eliminated,
+        free=np.setdiff1d(np.arange(n, dtype=np.int64), eliminated,
+                          assume_unique=True),
+        gauge=forms.pressure_integral_vector(fe), labels=("pressure_gauge",))
+
+
 def build_slip_plan(fe):
     """The data-free part of every slip plan on ``fe``'s mesh.
 
@@ -112,24 +123,19 @@ def build_slip_plan(fe):
     """
     n = fe.num_velocity_nodes
     frames = boundary_frames(fe.mesh)
-    eliminated = np.unique(np.concatenate([
-        frames.vertex_ids, n + frames.vertex_ids[frames.corner],
-        fe.boundary_mid_nodes]))
-    return ConstraintPlan(
-        n_velocity=2 * n, n_pressure=fe.num_pressure_dofs,
-        rotation=_rotation_matrix(fe, frames), eliminated=eliminated,
-        free=np.setdiff1d(np.arange(2 * n, dtype=np.int64), eliminated,
-                          assume_unique=True),
-        gauge=forms.pressure_integral_vector(fe), labels=("pressure_gauge",))
+    return _gauged_plan(fe, _rotation_matrix(fe, frames), np.unique(
+        np.concatenate([frames.vertex_ids, n + frames.vertex_ids[frames.corner],
+                        fe.boundary_mid_nodes])))
 
 
 def friction_vanishes(fe, alpha):
-    """Whether every order-4 boundary sample of ``alpha`` is at most 1e-14.
+    """Whether every boundary sample of ``alpha`` on the friction form's
+    rule is at most 1e-14.
 
-    ``sample_alpha`` refuses a negative sample with ``InvalidArgument``.
+    ``sample_alpha`` refuses a negative or non-finite sample with
+    ``InvalidArgument``.
     """
-    pts = fe.boundary_quad_coords(fem.quadrature(4))
-    avals = sample_alpha(alpha, pts, fe.mesh.boundary_markers)
+    _, avals = forms.friction_samples(fe, alpha)
     return bool(np.all(np.abs(avals) <= ALPHA_ZERO_TOL))
 
 
@@ -150,17 +156,10 @@ def build_dirichlet_plan(fe):
     compare like with like.
     """
     n = fe.num_velocity_nodes
-    mesh = fe.mesh
-    bnodes = np.unique(np.concatenate([mesh.boundary_edges.ravel(),
+    bnodes = np.unique(np.concatenate([fe.mesh.boundary_edges.ravel(),
                                        fe.boundary_mid_nodes]))
-    eliminated = np.unique(np.concatenate([bnodes, bnodes + n]))
-    free = np.setdiff1d(np.arange(2 * n, dtype=np.int64), eliminated,
-                        assume_unique=True)
-    return ConstraintPlan(
-        n_velocity=2 * n, n_pressure=fe.num_pressure_dofs,
-        rotation=sparse.identity(2 * n, format="csr"),
-        eliminated=eliminated, free=free,
-        gauge=forms.pressure_integral_vector(fe), labels=("pressure_gauge",))
+    return _gauged_plan(fe, sparse.identity(2 * n, format="csr"),
+                        np.unique(np.concatenate([bnodes, bnodes + n])))
 
 
 def apply_plan(plan, A, B, ell):

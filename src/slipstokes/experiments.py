@@ -74,7 +74,7 @@ class ExperimentConfig:
             raise InvalidArgument(f"bad level list {self.levels!r}")
         if list(self.levels) != sorted(set(self.levels)):
             raise InvalidArgument("levels must be strictly increasing")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise InvalidArgument("friction values must be nonnegative")
         return self
 
@@ -170,26 +170,55 @@ def _make_mesh(cfg, level):
     return make_disk(level, cfg.radius)
 
 
-def run_mms(cfg):
-    wall = {}
-    case = stokes_mms(alpha=cfg.alpha,
-                      amplitude=cfg.amplitude if cfg.amplitude else 1.0)
-    rows = []
+def _timed(wall, key, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with its wall time stored as ``wall[key]``."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    wall[key] = time.perf_counter() - t0
+    return out
+
+
+def _ladder(cfg, cells):
+    """Rows ``(level, h, *cells(mesh))`` over ``cfg.levels``, each level timed."""
+    wall, rows = {}, []
     for level in cfg.levels:
         t0 = time.perf_counter()
         mesh = _make_mesh(cfg, level)
-        sol = solve_stokes(mesh, case["data"])
+        row = (level, mesh.mesh_size(), *cells(mesh))
+        wall[f"level_{level}"] = time.perf_counter() - t0
+        rows.append(row)
+    return rows, wall
+
+
+def _mms_study(cfg, case, columns, solve):
+    """The manufactured-solution ladder and its two rate fits.
+
+    ``solve(mesh)`` returns ``(Solution, extra cells)``; each row holds the
+    velocity H1 and pressure L2 errors against ``case``, then the extras.
+    """
+    def cells(mesh):
+        sol, extra = solve(mesh)
         _, err_h1 = velocity_error_h1(sol.fe, sol.u, case["u"].value,
                                       case["u"].grad)
-        err_p = pressure_error_l2(sol.fe, sol.p, case["p"])
-        wall[f"level_{level}"] = time.perf_counter() - t0
-        rows.append((level, mesh.mesh_size(), err_h1, err_p,
-                     sol.diagnostics["energy_residual"]))
+        return (err_h1, pressure_error_l2(sol.fe, sol.p, case["p"]), *extra)
+
+    rows, wall = _ladder(cfg, cells)
     h = [r[1] for r in rows]
     fits = {"velocity_h1": fit_rate(h, [r[2] for r in rows]),
             "pressure_l2": fit_rate(h, [r[3] for r in rows])}
     return _report(cfg, ("level", "h", "error_h1", "error_pressure_l2",
-                         "energy_residual"), rows, fits, wall)
+                         *columns), rows, fits, wall)
+
+
+def run_mms(cfg):
+    case = stokes_mms(alpha=cfg.alpha,
+                      amplitude=cfg.amplitude if cfg.amplitude else 1.0)
+
+    def solve(mesh):
+        sol = solve_stokes(mesh, case["data"])
+        return sol, (sol.diagnostics["energy_residual"],)
+
+    return _mms_study(cfg, case, ("energy_residual",), solve)
 
 
 def _sweep_data(cfg):
@@ -200,30 +229,30 @@ def _sweep_data(cfg):
     raise InvalidArgument(f"unknown data selector {cfg.data!r}")
 
 
+def _finest(cfg, schedule):
+    """The finest mesh, its system and the friction schedule of a sweep.
+
+    The caller holds the system through the sweep, so every solve on the
+    mesh shares it.
+    """
+    mesh = _make_mesh(cfg, cfg.levels[-1])
+    return mesh, fem.build_taylor_hood(mesh), cfg.alpha_schedule or schedule
+
+
 def run_alpha_to_zero(cfg):
     """Distance to the frictionless solution along a friction schedule."""
     wall = {}
-    level = cfg.levels[-1]
-    mesh = _make_mesh(cfg, level)
-    fe = fem.build_taylor_hood(mesh)
+    mesh, fe, schedule = _finest(cfg, tuple(2.0 ** (-k) for k in range(2, 13)))
     H1 = forms.assemble_velocity_h1(fe)
     base = _sweep_data(cfg)
-    schedule = cfg.alpha_schedule or tuple(2.0 ** (-k) for k in range(2, 13))
 
-    t0 = time.perf_counter()
     data = ProblemData(f=base.f, F=base.F, h=base.h, compatibility_mode=True)
-    (sol0, *sols), (krylov0, *krylov) = solve_friction_sweep(
-        mesh, data, (0.0, *schedule))
-    wall["sweep"] = time.perf_counter() - t0
-    rows = []
-    for alpha, sol in zip(schedule, sols):
-        diff = sol.u - sol0.u
-        err = float(np.sqrt(max(diff @ (H1 @ diff), 0.0)))
-        rows.append((float(alpha), err, sol.diagnostics["h1_norm"],
-                     sol.diagnostics["energy_residual"]))
-    alphas = [r[0] for r in rows]
-    errs = [r[1] for r in rows]
-    fits = {"limit_rate": fit_rate(alphas, errs)}
+    (sol0, *sols), (krylov0, *krylov) = _timed(
+        wall, "sweep", solve_friction_sweep, mesh, data, (0.0, *schedule))
+    rows = [(float(alpha), forms.velocity_h1_norm(H1, sol.u - sol0.u),
+             sol.diagnostics["h1_norm"], sol.diagnostics["energy_residual"])
+            for alpha, sol in zip(schedule, sols)]
+    fits = {"limit_rate": fit_rate([r[0] for r in rows], [r[1] for r in rows])}
     rows.append((0.0, 0.0, sol0.diagnostics["h1_norm"],
                  sol0.diagnostics["energy_residual"]))
     return _report(cfg, ("alpha", "error_h1_vs_reference", "h1_norm",
@@ -234,28 +263,19 @@ def run_alpha_to_zero(cfg):
 def run_alpha_to_infinity(cfg):
     """Distance to the clamped solution along a growing friction schedule."""
     wall = {}
-    level = cfg.levels[-1]
-    mesh = _make_mesh(cfg, level)
-    fe = fem.build_taylor_hood(mesh)
+    mesh, fe, schedule = _finest(cfg, tuple(10.0 ** k for k in range(7)))
     H1 = forms.assemble_velocity_h1(fe)
     base = _sweep_data(cfg)
-    schedule = cfg.alpha_schedule or tuple(10.0 ** k for k in range(7))
 
-    t0 = time.perf_counter()
-    ud = solve_stokes(mesh, base, plan=build_dirichlet_plan(fe)).u
-    ud_norm = float(np.sqrt(max(ud @ (H1 @ ud), 0.0)))
-    wall["dirichlet_reference"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sols, krylov = solve_friction_sweep(mesh, base, schedule)
-    wall["sweep"] = time.perf_counter() - t0
-    rows = []
-    for alpha, sol in zip(schedule, sols):
-        diff = sol.u - ud
-        err = float(np.sqrt(max(diff @ (H1 @ diff), 0.0)))
-        rows.append((float(alpha), err,
-                     sol.diagnostics["boundary_tangential_l2"],
-                     sol.diagnostics["energy_residual"]))
+    ud = _timed(wall, "dirichlet_reference", solve_stokes, mesh, base,
+                plan=build_dirichlet_plan(fe)).u
+    ud_norm = forms.velocity_h1_norm(H1, ud)
+    sols, krylov = _timed(wall, "sweep", solve_friction_sweep, mesh, base,
+                          schedule)
+    rows = [(float(alpha), forms.velocity_h1_norm(H1, sol.u - ud),
+             sol.diagnostics["boundary_tangential_l2"],
+             sol.diagnostics["energy_residual"])
+            for alpha, sol in zip(schedule, sols)]
     alphas = [r[0] for r in rows]
     fits = {
         "tangential_rate": fit_rate(alphas, [r[2] for r in rows]),
@@ -271,15 +291,12 @@ def run_alpha_to_infinity(cfg):
 def run_uniform_bound(cfg):
     """Solution size across a friction sweep; the ratio is the headline."""
     wall = {}
-    level = cfg.levels[-1]
-    mesh = _make_mesh(cfg, level)
+    mesh, fe, schedule = _finest(cfg, (0.0, 1e-2, 1.0, 1e2, 1e4, 1e6))
     base = _sweep_data(cfg)
-    schedule = cfg.alpha_schedule or (0.0, 1e-2, 1.0, 1e2, 1e4, 1e6)
 
-    t0 = time.perf_counter()
     data = ProblemData(f=base.f, F=base.F, h=base.h, compatibility_mode=True)
-    sols, krylov = solve_friction_sweep(mesh, data, schedule)
-    wall["sweep"] = time.perf_counter() - t0
+    sols, krylov = _timed(wall, "sweep", solve_friction_sweep, mesh, data,
+                          schedule)
     rows = []
     for alpha, sol in zip(schedule, sols):
         d = sol.diagnostics
@@ -296,12 +313,9 @@ def run_compat_disk(cfg):
     """Boundary circulation decay for compatible data on the disk."""
     if cfg.domain != "disk":
         raise InvalidArgument("the compatibility study runs on the disk")
-    wall = {}
     data = disk_compatible_forcing(alpha=cfg.alpha if cfg.alpha > 0 else 1.0)
-    rows = []
-    for level in cfg.levels:
-        t0 = time.perf_counter()
-        mesh = _make_mesh(cfg, level)
+
+    def cells(mesh):
         fe = fem.build_taylor_hood(mesh)   # held: both calls share it
         defect = check_compatibility(mesh, data)
         if abs(defect) > COMPAT_TOL:
@@ -310,9 +324,9 @@ def run_compat_disk(cfg):
         sol = solve_stokes(mesh, data)
         circulation = abs(float(
             forms.boundary_rotation_functional(fe) @ sol.u))
-        wall[f"level_{level}"] = time.perf_counter() - t0
-        rows.append((level, mesh.mesh_size(), defect, circulation,
-                     sol.diagnostics["h1_norm"]))
+        return defect, circulation, sol.diagnostics["h1_norm"]
+
+    rows, wall = _ladder(cfg, cells)
     h = [r[1] for r in rows]
     circ = [r[3] for r in rows]
     # With discretely compatible data the circulation is zero to rounding
@@ -324,63 +338,41 @@ def run_compat_disk(cfg):
 
 
 def run_spectra_suite(cfg):
-    wall = {}
-    rows = []
-    for level in cfg.levels:
-        t0 = time.perf_counter()
-        mesh = _make_mesh(cfg, level)
+    def cells(mesh):
         fe = fem.build_taylor_hood(mesh)   # held: the three calls share it
         korn0 = korn_quotient_min(mesh, alpha=0.0)
         korn1 = korn_quotient_min(mesh, alpha=cfg.alpha if cfg.alpha > 0 else 1.0)
         gamma = infsup_constant(mesh)
-        del fe
-        wall[f"level_{level}"] = time.perf_counter() - t0
-        rows.append((level, mesh.mesh_size(), korn0.constant, korn1.constant,
-                     gamma.constant, korn0.n_dofs))
-    fits = {}
+        return korn0.constant, korn1.constant, gamma.constant, korn0.n_dofs
+
+    rows, wall = _ladder(cfg, cells)
     return _report(cfg, ("level", "h", "korn_no_friction", "korn_with_friction",
-                         "infsup", "n_dofs"), rows, fits, wall)
+                         "infsup", "n_dofs"), rows, {}, wall)
 
 
 def run_ns_mms(cfg):
-    wall = {}
     case = navier_stokes_mms(alpha=cfg.alpha,
                              amplitude=cfg.amplitude if cfg.amplitude else 0.15)
-    rows = []
-    for level in cfg.levels:
-        t0 = time.perf_counter()
-        mesh = _make_mesh(cfg, level)
+
+    def solve(mesh):
         sol, log = solve_navier_stokes(mesh, case["data"], options=cfg.picard)
-        _, err_h1 = velocity_error_h1(sol.fe, sol.u, case["u"].value,
-                                      case["u"].grad)
-        err_p = pressure_error_l2(sol.fe, sol.p, case["p"])
-        wall[f"level_{level}"] = time.perf_counter() - t0
-        rows.append((level, mesh.mesh_size(), err_h1, err_p,
-                     len(log.rows), sol.diagnostics["energy_residual"]))
-    h = [r[1] for r in rows]
-    fits = {"velocity_h1": fit_rate(h, [r[2] for r in rows]),
-            "pressure_l2": fit_rate(h, [r[3] for r in rows])}
-    return _report(cfg, ("level", "h", "error_h1", "error_pressure_l2",
-                         "iterations", "energy_residual"), rows, fits, wall)
+        return sol, (len(log.rows), sol.diagnostics["energy_residual"])
+
+    return _mms_study(cfg, case, ("iterations", "energy_residual"), solve)
 
 
 def run_ns_limits(cfg):
     """Nonlinear friction sweep; records the friction range that converged."""
     wall = {}
-    level = cfg.levels[-1]
-    mesh = _make_mesh(cfg, level)
-    fe = fem.build_taylor_hood(mesh)
+    mesh, fe, schedule = _finest(cfg, tuple(10.0 ** k for k in range(7)))
     H1 = forms.assemble_velocity_h1(fe)
     case = navier_stokes_mms(alpha=1.0,
                              amplitude=cfg.amplitude if cfg.amplitude else 0.15)
     base = case["data"]
-    schedule = cfg.alpha_schedule or tuple(10.0 ** k for k in range(7))
 
-    t0 = time.perf_counter()
-    u_d = solve_navier_stokes(mesh, base, options=cfg.picard,
-                              plan=build_dirichlet_plan(fe))[0].u
-    ud_norm = float(np.sqrt(max(u_d @ (H1 @ u_d), 0.0)))
-    wall["dirichlet_reference"] = time.perf_counter() - t0
+    u_d = _timed(wall, "dirichlet_reference", solve_navier_stokes, mesh, base,
+                 options=cfg.picard, plan=build_dirichlet_plan(fe))[0].u
+    ud_norm = forms.velocity_h1_norm(H1, u_d)
 
     rows = []
     achieved = []
@@ -392,9 +384,7 @@ def run_ns_limits(cfg):
         except (MaxIterations, SingularSystem, NumericalError):
             rows.append((float(alpha), np.nan, np.nan, 0, False))
             continue
-        diff = sol.u - u_d
-        err = float(np.sqrt(max(diff @ (H1 @ diff), 0.0)))
-        rows.append((float(alpha), err,
+        rows.append((float(alpha), forms.velocity_h1_norm(H1, sol.u - u_d),
                      sol.diagnostics["boundary_tangential_l2"],
                      len(log.rows), True))
         achieved.append(float(alpha))

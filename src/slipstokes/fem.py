@@ -292,16 +292,13 @@ def _eval_scalar(field, pts):
 class NormReport:
     """Quadrature-exact norms of a discrete field.
 
-    ``vorticity_field`` samples ``curl u = d(u_y)/dx - d(u_x)/dy`` at the
-    triangle quadrature points, shape (nq, nt); it is None for pressures,
-    as are the boundary and divergence entries.
+    The boundary and divergence entries are None for pressures.
     """
 
     l2: float
     h1_semi: float
     boundary_l2_tangential: float | None = None
     divergence_l2: float | None = None
-    vorticity_field: np.ndarray | None = None
 
     @property
     def h1(self):
@@ -322,16 +319,19 @@ def norms(fe, coeffs, quad_order=4):
                           "neither velocity nor pressure space")
 
 
+def velocity_values(fe, coeffs, rule):
+    """``[u_x, u_y]``, each (nq, nt), at the triangle quadrature points."""
+    vals = p2_values(rule.tri_points)                    # (nq, 6)
+    return [np.einsum("qk,tk->qt", vals, u[fe.tri_vnodes])
+            for u in split_components(fe, coeffs)]
+
+
 def _velocity_at(fe, coeffs, rule):
     """``[(u_x, grad u_x), (u_y, grad u_y)]`` at the quadrature points."""
-    vals = p2_values(rule.tri_points)                    # (nq, 6)
     grads = fe.physical_grads(rule)                      # (nq, nt, 6, 2)
-    out = []
-    for u in split_components(fe, coeffs):
-        e = u[fe.tri_vnodes]                             # (nt, 6)
-        out.append((np.einsum("qk,tk->qt", vals, e),
-                    np.einsum("qtka,tk->qta", grads, e)))
-    return out
+    return [(v, np.einsum("qtka,tk->qta", grads, u[fe.tri_vnodes]))
+            for v, u in zip(velocity_values(fe, coeffs, rule),
+                            split_components(fe, coeffs))]
 
 
 def _pressure_at(fe, coeffs, rule):
@@ -347,7 +347,6 @@ def _velocity_norms(fe, coeffs, rule):
     h1sq = float(np.sum(w * (gx[..., 0] ** 2 + gx[..., 1] ** 2
                              + gy[..., 0] ** 2 + gy[..., 1] ** 2)))
     divsq = float(np.sum(w * (gx[..., 0] + gy[..., 1]) ** 2))
-    vorticity = gy[..., 0] - gx[..., 1]
 
     mesh = fe.mesh
     ux, uy = split_components(fe, coeffs)
@@ -361,7 +360,7 @@ def _velocity_norms(fe, coeffs, rule):
     btansq = float(np.sum(lengths[:, None] * rule.seg_weights[None, :] * tang ** 2))
 
     return NormReport(np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(btansq),
-                      np.sqrt(divsq), vorticity)
+                      np.sqrt(divsq))
 
 
 def _pressure_norms(fe, coeffs, rule):

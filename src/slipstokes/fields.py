@@ -52,7 +52,7 @@ class ProblemData:
         tangential part ever acts.
     alpha : float, callable ``(k,2)->(k,)``, or dict marker -> (float|callable)
         Friction coefficient sampled at boundary quadrature points;
-        samples must be nonnegative.
+        samples must be finite and nonnegative.
     compatibility_mode : bool
         Allows solving on the rotationally symmetric disk with vanishing
         friction by adding the rotation-moment gauge.
@@ -69,7 +69,8 @@ def sample_alpha(alpha, points, markers):
     """Evaluate a friction coefficient at boundary points.
 
     ``points`` has shape (nb, ns, 2) and ``markers`` shape (nb,); the result
-    has shape (nb, ns).  Negative samples raise ``InvalidArgument``.
+    has shape (nb, ns).  Negative or non-finite samples raise
+    ``InvalidArgument``.
     """
     nb, ns = points.shape[0], points.shape[1]
     if isinstance(alpha, dict):
@@ -91,8 +92,9 @@ def _alpha_rows(spec, pts):
                                   f"expected {(pts.shape[0],)}")
     else:
         vals = np.full(pts.shape[0], float(spec))
-    if np.any(vals < 0.0):
-        raise InvalidArgument(f"negative friction sample (min {vals.min():.3e})")
+    if not (np.isfinite(vals) & (vals >= 0.0)).all():
+        raise InvalidArgument("friction samples must be finite and nonnegative "
+                              f"(min {vals.min():.3e}, max {vals.max():.3e})")
     return vals
 
 

@@ -88,6 +88,12 @@ def assemble_velocity_h1(fe, quad_order=4):
     return _componentwise(fe, _p2_mass(fe, rule) + k)
 
 
+def velocity_h1_norm(H1, v):
+    """H1 norm ``sqrt(v . H1 v)`` of a velocity, ``H1`` from
+    :func:`assemble_velocity_h1`; a rounding-negative square reads 0."""
+    return float(np.sqrt(max(v @ (H1 @ v), 0.0)))
+
+
 def assemble_pressure_mass(fe, quad_order=4):
     rule = fem.quadrature(quad_order)
     vals = fem.p1_values(rule.tri_points)
@@ -96,15 +102,20 @@ def assemble_pressure_mass(fe, quad_order=4):
     return _scatter(local, fe.tri_pnodes, fe.tri_pnodes, (n, n))
 
 
+def friction_samples(fe, alpha, quad_order=4):
+    """``(rule, alpha at its boundary points (nb, ns))``; see ``sample_alpha``."""
+    rule = fem.quadrature(quad_order)
+    return rule, sample_alpha(alpha, fe.boundary_quad_coords(rule),
+                              fe.mesh.boundary_markers)
+
+
 def assemble_friction(fe, alpha, quad_order=4):
     """Tangential boundary friction form; zero matrix when alpha == 0."""
     mesh = fe.mesh
     n = fe.num_velocity_dofs
     if np.isscalar(alpha) and not callable(alpha) and float(alpha) == 0.0:
         return sparse.csr_matrix((n, n))
-    rule = fem.quadrature(quad_order)
-    pts = fe.boundary_quad_coords(rule)                    # (nb, ns, 2)
-    avals = sample_alpha(alpha, pts, mesh.boundary_markers)
+    rule, avals = friction_samples(fe, alpha, quad_order)
     shapes = fem.segment_p2_values(rule.seg_points)        # (ns, 3)
     ww = mesh.boundary_lengths()[:, None] * rule.seg_weights[None, :] * avals
     s = np.einsum("bs,si,sj->bij", ww, shapes, shapes)     # (nb, 3, 3)
@@ -143,40 +154,51 @@ def _boundary_pairing(fe, rule, field):
                        local.ravel(), minlength=fe.num_velocity_dofs)
 
 
-def assemble_load(fe, data, quad_order=6):
-    """Right-hand side vector for the momentum equation."""
+def load_samples(fe, data, quad_order=6):
+    """The problem data at the points of the load's rule.
+
+    Returns ``(rule, f, F, h)``: ``f`` (nq, nt, 2), ``F`` (nq, nt, 2, 2)
+    and the tangential part ``h . t`` (nb, ns), each None where ``data``
+    has none.  A field of the wrong shape raises ``InvalidArgument``.
+    """
     rule = fem.quadrature(quad_order)
-    vals = fem.p2_values(rule.tri_points)
-    w = fe.weights(rule)
     pts = fe.quad_coords(rule)
     flat = pts.reshape(-1, 2)
-    local = np.zeros((len(fe.tri_vnodes), 2, 6))      # [triangle, component, node]
-
+    f = F = h = None
     if data.f is not None:
-        fv = fem._eval_vector(data.f, flat).reshape(pts.shape)
-        local += np.einsum("qt,qtc,qi->tci", w, fv, vals)
-
+        f = fem._eval_vector(data.f, flat).reshape(pts.shape)
     if data.F is not None:
-        if callable(data.F):
-            Fv = np.asarray(data.F(flat), dtype=float)
-            if Fv.shape != (flat.shape[0], 2, 2):
-                raise InvalidArgument(f"matrix field returned shape {Fv.shape}")
-        else:
-            Fv = np.broadcast_to(np.asarray(data.F, dtype=float),
-                                 (flat.shape[0], 2, 2))
-        Fv = Fv.reshape(pts.shape[0], pts.shape[1], 2, 2)
+        F = np.asarray(data.F(flat) if callable(data.F) else data.F, dtype=float)
+        if F.shape == (2, 2):                           # a constant field
+            F = np.broadcast_to(F, (len(flat), 2, 2))
+        if F.shape != (len(flat), 2, 2):
+            raise InvalidArgument(f"matrix field has shape {F.shape}, expected "
+                                  f"(2, 2) or ({len(flat)}, 2, 2)")
+        F = F.reshape(*pts.shape[:2], 2, 2)
+    if data.h is not None:
+        mesh = fe.mesh
+        h = eval_boundary_field(data.h, fe.boundary_quad_coords(rule),
+                                mesh.boundary_normals, mesh.boundary_tangents)
+    return rule, f, F, h
+
+
+def assemble_load(fe, data, quad_order=6):
+    """Right-hand side vector for the momentum equation."""
+    rule, fv, Fv, ht = load_samples(fe, data, quad_order)
+    vals = fem.p2_values(rule.tri_points)
+    w = fe.weights(rule)
+    local = np.zeros((len(fe.tri_vnodes), 2, 6))      # [triangle, component, node]
+    if fv is not None:
+        local += np.einsum("qt,qtc,qi->tci", w, fv, vals)
+    if Fv is not None:
         # v = phi_i e_c: F : grad(v) = F[c, b] d_b(phi_i)
         local -= np.einsum("qt,qtcb,qtib->tci", w, Fv, fe.physical_grads(rule))
 
     ell = np.bincount(_vector_dofs(fe, fe.tri_vnodes).ravel(), local.ravel(),
                       minlength=fe.num_velocity_dofs)
-    if data.h is not None:
-        mesh = fe.mesh
-        ht = eval_boundary_field(data.h, fe.boundary_quad_coords(rule),
-                                 mesh.boundary_normals,
-                                 mesh.boundary_tangents)        # (nb, ns)
-        ell += _boundary_pairing(fe, rule,
-                                 ht[:, :, None] * mesh.boundary_tangents[:, None, :])
+    if ht is not None:
+        ell += _boundary_pairing(
+            fe, rule, ht[:, :, None] * fe.mesh.boundary_tangents[:, None, :])
 
     if not np.isfinite(ell).all():
         raise NumericalError("non-finite entries in assembled load")
@@ -191,11 +213,9 @@ def assemble_convection_skew(fe, w_coeffs, quad_order=6):
     velocity component and stores no entry coupling the two.
     """
     rule = fem.quadrature(quad_order)
-    wx, wy = fem.split_components(fe, w_coeffs)
+    wqx, wqy = fem.velocity_values(fe, w_coeffs, rule)
     vals = fem.p2_values(rule.tri_points)
     grads = fe.physical_grads(rule)
-    wqx = np.einsum("qk,tk->qt", vals, wx[fe.tri_vnodes])
-    wqy = np.einsum("qk,tk->qt", vals, wy[fe.tri_vnodes])
     # (w . grad) phi_j at each quadrature point
     adv = wqx[:, :, None] * grads[..., 0] + wqy[:, :, None] * grads[..., 1]
     s = np.einsum("qt,qi,qtj->tij", fe.weights(rule), vals, adv)  # (nt, 6, 6)

@@ -26,10 +26,10 @@ import numpy as np
 from . import fem, forms
 from .constraints import apply_plan, build_constraint_plan
 from .errors import InvalidArgument, MaxIterations
-from .fields import eval_boundary_field, rigid_rotation
-from .saddle import factorize, gated_solve, krylov_solve
+from .fields import rigid_rotation
+from .saddle import factorize, gated_solve, krylov_solve, relative_residual
 from .spectra import korn_quotient_min
-from .stokes import Solution, _diagnostics, energy_gate
+from .stokes import Solution, _diagnostics, energy_defect, energy_gate
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -132,10 +132,6 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
     B = forms.assemble_divergence(fe)
     ell = forms.assemble_load(fe, data)
     H1 = forms.assemble_velocity_h1(fe)
-
-    def h1_norm(v):
-        return float(np.sqrt(max(v @ (H1 @ v), 0.0)))
-
     stokes = apply_plan(plan, A, B, ell)
     lu = factorize(stokes.matrix)
     x = gated_solve(stokes, lu.solve)
@@ -160,14 +156,13 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
         system = picard_system(u)
         x, iterations, lu = krylov_solve(system, lu, x)
         log.krylov.append(iterations)
-        u_new, p, _ = plan.reconstruct(x)
+        u_new, p, mult = plan.reconstruct(x)
         if opts.damping != 1.0:
             u_new = opts.damping * u_new + (1.0 - opts.damping) * u
-        increment = h1_norm(u_new - u)
-        energy_lhs = float(u_new @ (A @ u_new))
-        energy_rhs = float(ell @ u_new)
-        energy_residual = abs(energy_lhs - energy_rhs) / max(abs(energy_lhs), 1.0)
-        log.add(it, increment, energy_residual)
+        increment = forms.velocity_h1_norm(H1, u_new - u)
+        # Logged, not gated: a damped iterate does not satisfy the identity.
+        _, _, defect, scale = energy_defect(u_new, A, ell)
+        log.add(it, increment, defect / scale)
         if not np.isfinite(increment):
             raise MaxIterations("iteration produced non-finite increment; "
                                 "data outside the contraction regime")
@@ -178,7 +173,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
                 f"increment grew to {increment:.3e}; data outside the "
                 "contraction regime")
         u = u_new
-        if increment <= opts.tol * max(h1_norm(u), 1.0):
+        if increment <= opts.tol * max(forms.velocity_h1_norm(H1, u), 1.0):
             log.converged = True
             break
     if not log.converged:
@@ -192,14 +187,11 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
         system = picard_system(u)
         x, iterations, lu = krylov_solve(system, lu, x)
         log.krylov.append(iterations)
-        u, p, _ = plan.reconstruct(x)
+        u, p, mult = plan.reconstruct(x)
     del lu
 
-    diag = _diagnostics(fe, plan, system, x, u, p, A, ell)
-    final = picard_system(u)
-    bnorm = np.linalg.norm(final.rhs)
-    diag["nonlinear_residual"] = float(
-        np.linalg.norm(final.matrix @ x - final.rhs) / (bnorm if bnorm > 0 else 1.0))
+    diag = _diagnostics(fe, system, x, u, p, mult, A, ell)
+    diag["nonlinear_residual"] = relative_residual(picard_system(u), x)
     diag["picard_iterations"] = len(log.rows)
     return Solution(u=u, p=p, diagnostics=diag, fe=fe), log
 
@@ -247,19 +239,15 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0):
     the data: doubling all data doubles S.
     """
     fe = fem.build_taylor_hood(mesh)
+    rule, fv, Fv, ht = forms.load_samples(fe, data)
     plan = build_constraint_plan(fe, data)
     H1 = forms.assemble_velocity_h1(fe)
-
-    def h1_norm(vec):
-        return float(np.sqrt(max(vec @ (H1 @ vec), 0.0)))
-
     rng = np.random.default_rng(seed)
-    nf = len(plan.free)
 
+    # Samples are free rotated coordinates; ``plan.reconstruct`` of a vector
+    # holding only those gives their constrained velocity.
     def random_noise():
-        z = np.zeros(plan.n_velocity)
-        z[plan.free] = rng.standard_normal(nf)
-        return plan.rotation @ z
+        return plan.reconstruct(rng.standard_normal(len(plan.free)))[0]
 
     def random_smooth():
         # The trilinear supremum is approached by smooth fields, so raw
@@ -276,10 +264,7 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0):
             return np.stack([basis @ c[0], basis @ c[1]], axis=1)
 
         coeffs = fem.interpolate(fe, field, "velocity")
-        hat = plan.rotation.T @ coeffs
-        z = np.zeros(plan.n_velocity)
-        z[plan.free] = hat[plan.free]
-        return plan.rotation @ z
+        return plan.reconstruct((plan.rotation.T @ coeffs)[plan.free])[0]
 
     pairs_per_w = 10
     n_w = max(1, n_triples // pairs_per_w)
@@ -288,37 +273,26 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0):
         sample = random_smooth if k % 2 == 0 else random_noise
         w = sample()
         C = forms.assemble_convection_skew(fe, w)
-        nw = h1_norm(w)
+        nw = forms.velocity_h1_norm(H1, w)
         for j in range(pairs_per_w):
             uu = sample()
             vv = sample()
             val = abs(float(vv @ (C @ uu)))
-            c_b = max(c_b, val / (nw * h1_norm(uu) * h1_norm(vv)))
+            c_b = max(c_b, val / (nw * forms.velocity_h1_norm(H1, uu)
+                                  * forms.velocity_h1_norm(H1, vv)))
 
     c_coer = korn_quotient_min(mesh, alpha=data.alpha).constant
     if c_coer <= 0.0:
         raise InvalidArgument("coercivity constant vanishes; indicator undefined")
 
-    rule = fem.quadrature(6)           # the load assembly's rule
     w = fe.weights(rule)
-    pts = fe.quad_coords(rule)
-    flat = pts.reshape(-1, 2)
     data_norm = 0.0
-    if data.f is not None:
-        fv = fem._eval_vector(data.f, flat).reshape(pts.shape)
+    if fv is not None:
         mag = np.sqrt(fv[..., 0] ** 2 + fv[..., 1] ** 2)
         data_norm += float(np.sum(w * mag ** 1.2) ** (1.0 / 1.2))
-    if data.F is not None:
-        if callable(data.F):
-            Fv = np.asarray(data.F(flat), dtype=float).reshape(*pts.shape[:2], 2, 2)
-        else:
-            Fv = np.broadcast_to(np.asarray(data.F, dtype=float),
-                                 (*pts.shape[:2], 2, 2))
+    if Fv is not None:
         data_norm += float(np.sqrt(np.sum(w[..., None, None] * Fv ** 2)))
-    if data.h is not None:
-        bpts = fe.boundary_quad_coords(rule)
-        ht = eval_boundary_field(data.h, bpts, mesh.boundary_normals,
-                                 mesh.boundary_tangents)
+    if ht is not None:
         ww = mesh.boundary_lengths()[:, None] * rule.seg_weights[None, :]
         data_norm += float(np.sqrt(np.sum(ww * ht ** 2)))
 

@@ -220,13 +220,19 @@ def gated_solve(system, solve):
     x = solve(b)
     if not np.isfinite(x).all():
         raise NumericalError("non-finite entries in solution")
-    bnorm = np.linalg.norm(b)
-    if bnorm > 0.0:
-        residual = np.linalg.norm(system.matrix @ x - b) / bnorm
+    if b.any():
+        residual = relative_residual(system, x)
         if residual > RESIDUAL_RTOL:
             raise NumericalError(
                 f"solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e}")
     return x
+
+
+def relative_residual(system, x):
+    """``|M x - b| / |b|`` of ``x`` on ``system``; ``|M x|`` when ``b = 0``."""
+    bnorm = np.linalg.norm(system.rhs)
+    return float(np.linalg.norm(system.matrix @ x - system.rhs)
+                 / (bnorm if bnorm > 0 else 1.0))
 
 
 def factor_solve(system, pivot_rtol=PIVOT_RTOL):

@@ -64,6 +64,11 @@ def _zero_floor(n):
     return FLOOR_FACTOR * n * np.finfo(float).eps
 
 
+def _snap(lam, floor):
+    """``lam`` as a float, or exactly 0 below the rank floor."""
+    return 0.0 if lam < floor else float(lam)
+
+
 def _smallest_eig(M, solve):
     """Smallest eigenvalue of a symmetric pencil (A, M), M positive definite.
 
@@ -101,8 +106,7 @@ def korn_quotient_min(mesh, alpha=0.0):
     lu = symmetric_lu((A_red - SIGMA * M_red).tocsc())
     lam = _smallest_eig(M_red, lu.solve)
     floor = _zero_floor(n)
-    constant = 0.0 if lam < floor else float(lam)
-    return SpectralReport(constant=constant, mesh_size=mesh.mesh_size(),
+    return SpectralReport(constant=_snap(lam, floor), mesh_size=mesh.mesh_size(),
                           n_dofs=n, alpha_descriptor=_alpha_descriptor(alpha),
                           floor=floor, detail={"raw_eigenvalue": float(lam)})
 
@@ -148,14 +152,13 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False):
         y = -lu.solve(np.concatenate([np.zeros(n_vel), q]))[n_vel:]
         return y - mass_one @ y
 
-    lam = _smallest_eig(Mp, solve)
-    small = lam < floor
-    detail = {"zero_modes": 1 + int(small)}
+    lam = _snap(_smallest_eig(Mp, solve), floor)
+    detail = {"zero_modes": 1 + int(lam == 0.0)}
     if cross_check:
         S = B @ scipy.linalg.solve(K.toarray(), B.T.toarray(), assume_a="pos")
         vals = scipy.linalg.eigh(S, Mp.toarray(), eigvals_only=True)
         detail["dense_oracle"] = float(np.sqrt(vals[vals > floor][0]))
-    return SpectralReport(constant=0.0 if small else float(np.sqrt(lam)),
+    return SpectralReport(constant=float(np.sqrt(lam)),
                           mesh_size=mesh.mesh_size(), n_dofs=n_vel,
                           alpha_descriptor=_alpha_descriptor(alpha),
                           floor=floor, detail=detail)
@@ -211,11 +214,10 @@ def beta_inequality_checks(mesh):
     lu = symmetric_lu((A_half - SIGMA * M_l2).tocsc())
     reports = {}
     for name, g in (("volume", g_vol), ("boundary", g_bnd)):
-        lam = _rank_one_smallest(g, M_l2, lu)
-        constant = 0.0 if lam < floor else float(lam)
+        constant = _snap(_rank_one_smallest(g, M_l2, lu), floor)
         reports[name] = SpectralReport(
             constant=constant, mesh_size=mesh.mesh_size(), n_dofs=n,
             alpha_descriptor="0", floor=floor,
             detail={"optimal_inequality_constant":
-                    float(1.0 / lam) if lam > floor else np.inf})
+                    1.0 / constant if constant else np.inf})
     return reports

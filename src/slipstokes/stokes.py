@@ -28,7 +28,8 @@ from .errors import (IncompatibleData, InvalidArgument, NumericalError,
                      SingularSystem)
 from .fem import interpolate
 from .fields import rigid_rotation
-from .saddle import factor_solve, factorize, gated_solve, krylov_solve
+from .saddle import (factor_solve, factorize, gated_solve, krylov_solve,
+                     relative_residual)
 
 ENERGY_RTOL = 1e-8
 COMPAT_RTOL = 1e-10
@@ -52,28 +53,38 @@ class Solution:
         return json.dumps(self.diagnostics, indent=2, sort_keys=True)
 
 
-def energy_gate(u, A_total, ell):
-    """``(lhs, rhs, |lhs - rhs|)`` of the energy identity ``u.A u = l(u)``.
+def energy_defect(u, A_total, ell):
+    """``(lhs, rhs, defect, scale)`` of the energy identity ``u.A u = l(u)``.
 
-    Raises ``NumericalError`` when the defect exceeds ``ENERGY_RTOL``
-    times ``max(|lhs|, 1)``.
+    ``defect = |lhs - rhs|``, measured against ``scale = max(|lhs|, 1)``.
     """
     energy_lhs = float(u @ (A_total @ u))
     energy_rhs = float(ell @ u)
-    energy_residual = abs(energy_lhs - energy_rhs)
-    if energy_residual > ENERGY_RTOL * max(abs(energy_lhs), 1.0):
+    return (energy_lhs, energy_rhs, abs(energy_lhs - energy_rhs),
+            max(abs(energy_lhs), 1.0))
+
+
+def energy_gate(u, A_total, ell):
+    """``(lhs, rhs, defect)`` of :func:`energy_defect`; ``NumericalError``
+    when the defect exceeds ``ENERGY_RTOL`` times its scale."""
+    energy_lhs, energy_rhs, defect, scale = energy_defect(u, A_total, ell)
+    if defect > ENERGY_RTOL * scale:
         raise NumericalError(
             f"energy identity violated: |{energy_lhs:.6e} - {energy_rhs:.6e}|")
-    return energy_lhs, energy_rhs, energy_residual
+    return energy_lhs, energy_rhs, defect
 
 
-def _diagnostics(fe, plan, system, x, u, p, A_total, ell):
+def _rotation_pairing(fe, ell):
+    """``(l(beta), |l| |beta|)`` for the interpolated rigid rotation
+    ``beta``; the scale reads 1 when it is zero."""
+    beta = interpolate(fe, rigid_rotation().value)
+    return (float(ell @ beta),
+            float(np.linalg.norm(ell) * np.linalg.norm(beta)) or 1.0)
+
+
+def _diagnostics(fe, system, x, u, p, mult, A_total, ell):
     energy_lhs, energy_rhs, energy_residual = energy_gate(u, A_total, ell)
     rep = fem.norms(fe, u)
-    bnorm = np.linalg.norm(system.rhs)
-    linear_residual = float(np.linalg.norm(system.matrix @ x - system.rhs)
-                            / (bnorm if bnorm > 0 else 1.0))
-    _, _, mult = plan.reconstruct(x)
     diag = {
         "energy_lhs": energy_lhs,
         "energy_rhs": energy_rhs,
@@ -85,7 +96,7 @@ def _diagnostics(fe, plan, system, x, u, p, A_total, ell):
         "divergence_l2": rep.divergence_l2,
         "pressure_l2": fem.norms(fe, p).l2,
         "pressure_mean": fem.pressure_mean(fe, p),
-        "linear_residual": linear_residual,
+        "linear_residual": relative_residual(system, x),
     }
     for name, value in mult.items():
         diag[name] = float(value)
@@ -121,9 +132,7 @@ def _friction_solves(fe, data, alphas, plan):
         if guarded:
             # The guard multiplier would silently absorb an incompatible
             # load, so reject data whose rotation pairing is not zero.
-            beta = interpolate(fe, rigid_rotation().value, "velocity")
-            defect = float(ell @ beta)
-            scale = float(np.linalg.norm(ell) * np.linalg.norm(beta)) or 1.0
+            defect, scale = _rotation_pairing(fe, ell)
             if abs(defect) > COMPAT_RTOL * scale:
                 raise IncompatibleData(
                     f"rotation pairing of the data is {defect:.3e} "
@@ -142,8 +151,8 @@ def _friction_solves(fe, data, alphas, plan):
                 x, iterations = gated_solve(system, lu.solve), None
             else:
                 x, iterations, lu = krylov_solve(system, lu, x)
-            u, pressure, _ = p.reconstruct(x)
-            diag = _diagnostics(fe, p, system, x, u, pressure, A, ell)
+            u, pressure, mult = p.reconstruct(x)
+            diag = _diagnostics(fe, system, x, u, pressure, mult, A, ell)
             results.append((Solution(u=u, p=pressure, diagnostics=diag, fe=fe),
                             iterations))
     return results
@@ -295,6 +304,4 @@ def check_compatibility(mesh, data):
     solvability with vanishing friction on the disk requires it to vanish.
     """
     fe = fem.build_taylor_hood(mesh)
-    beta = fem.interpolate(fe, rigid_rotation().value)
-    ell = forms.assemble_load(fe, data)
-    return float(ell @ beta)
+    return _rotation_pairing(fe, forms.assemble_load(fe, data))[0]

@@ -62,6 +62,13 @@ class TestSolveCommands:
         assert code == 2
         assert "disk" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, capsys, tmp_path, alpha):
+        code, _, err = run(capsys, "solve-stokes", "--level", "4",
+                           "--alpha", alpha, "--out", str(tmp_path))
+        assert code == 2
+        assert "config error" in err and "finite" in err
+
     def test_ns_solve(self, capsys, tmp_path):
         code, out, _ = run(capsys, "solve-ns", "--level", "4",
                            "--data", "mms", "--amplitude", "0.15",

@@ -141,6 +141,14 @@ class TestPlanSharing:
         with pytest.raises(InvalidArgument):
             korn_quotient_min(mesh, alpha=lambda p: -np.ones(len(p)))
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_friction_refused(self, alpha):
+        mesh = make_unit_square(3)
+        with pytest.raises(InvalidArgument, match="finite"):
+            solve_stokes(mesh, ProblemData(alpha=alpha))
+        with pytest.raises(InvalidArgument, match="finite"):
+            korn_quotient_min(mesh, alpha=alpha)
+
 
 class TestDirichletPlan:
     def test_all_boundary_dofs_clamped(self):

@@ -73,6 +73,10 @@ class TestConfigs:
         with pytest.raises(InvalidArgument):
             ExperimentConfig(kind="mms", alpha=-1.0).validate()
 
+    def test_nan_friction_rejected(self):
+        with pytest.raises(InvalidArgument):
+            ExperimentConfig(kind="mms", alpha=float("nan")).validate()
+
     def test_parse_config_round_trip(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("""
@@ -209,6 +213,14 @@ class TestReports:
         cfg = ExperimentConfig(kind="uniform_bound", levels=(8,))
         report = run_experiment(cfg)
         assert report.fits["uniformity"]["max_over_min"] < 10.0
+
+
+def test_ns_limits_refuses_non_finite_friction():
+    # A malformed schedule is refused, not recorded as a non-converged row.
+    cfg = ExperimentConfig(kind="ns_limits", levels=(4,),
+                           alpha_schedule=(1.0, float("nan")))
+    with pytest.raises(InvalidArgument, match="finite"):
+        run_experiment(cfg)
 
 
 def test_ns_limits_propagates_programming_errors(monkeypatch):

@@ -208,8 +208,7 @@ class TestNorms:
         u = interpolate(fe, lambda p: np.stack(
             [p[:, 1], np.zeros(len(p))], axis=1), "velocity")
         rep = norms(fe, u)
-        # curl (y, 0) = -1 everywhere; area 1
-        assert rep.vorticity_field is not None
+        # grad (y, 0) = [[0, 1], [0, 0]] everywhere; area 1
         assert rep.h1_semi == pytest.approx(1.0, abs=1e-13)
         # tangential trace: bottom 0, top 1, left/right vertical comp 0
         # int_bottom 0 + int_top 1 + sides 0 -> L2 norm = 1

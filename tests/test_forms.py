@@ -55,6 +55,10 @@ class TestBilinearForms:
             [p[:, 0] * p[:, 1], p[:, 1] ** 2], axis=1), "velocity")
         rep = norms(fe, u)
         assert float(u @ (H1 @ u)) == pytest.approx(rep.h1 ** 2, rel=1e-13)
+        assert forms.velocity_h1_norm(H1, u) == pytest.approx(rep.h1,
+                                                             rel=1e-13)
+        # A rounding-negative square reads 0, never NaN.
+        assert forms.velocity_h1_norm(-H1, u) == 0.0
 
 
 def _oracle_vector_scatter(fe, local):
@@ -150,6 +154,15 @@ class TestFriction:
         m, fe = build(2)
         with pytest.raises(InvalidArgument):
             forms.assemble_friction(fe, alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf,
+                                       lambda p: np.full(len(p), np.nan),
+                                       {1: 1.0, 2: np.inf, 3: 1.0, 4: 1.0}],
+                             ids=["nan", "inf", "callable-nan", "marker-inf"])
+    def test_non_finite_alpha_rejected(self, alpha):
+        m, fe = build(2)
+        with pytest.raises(InvalidArgument, match="finite"):
+            forms.assemble_friction(fe, alpha=alpha)
 
 
 class TestDivergenceAndLoad:

@@ -10,7 +10,7 @@ from slipstokes import (ProblemData, apply_plan, build_constraint_plan,
                         build_dirichlet_plan, build_taylor_hood, factor_solve,
                         fem, forms, interpolate, make_disk, make_unit_square,
                         navier_stokes_mms, rigid_rotation, solve_navier_stokes)
-from slipstokes import navierstokes, saddle
+from slipstokes import navierstokes, saddle, stokes
 from slipstokes.errors import InvalidArgument, MaxIterations, SingularSystem
 from slipstokes.fem import velocity_error_h1, pressure_error_l2
 from slipstokes.fields import ClosedFormField, disk_compatible_forcing
@@ -132,6 +132,36 @@ class TestPicard:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == log.rows[0][1]
+
+    @pytest.mark.parametrize("damping", [1.0, 0.7])
+    def test_log_energy_is_the_shared_defect(self, monkeypatch, damping):
+        mesh = make_unit_square(8)
+        data = navier_stokes_mms(alpha=1.0, amplitude=0.15)["data"]
+        solved = []
+
+        def recording(system, lu, x0):
+            out = saddle.krylov_solve(system, lu, x0)
+            solved.append(out[0])
+            return out
+
+        monkeypatch.setattr(navierstokes, "krylov_solve", recording)
+        _, log = solve_navier_stokes(mesh, data, options=PicardOptions(
+            damping=damping, initial_guess="zero"))
+        fe = build_taylor_hood(mesh)
+        plan = build_constraint_plan(fe, data)
+        A = forms.assemble_viscous(fe) + forms.assemble_friction(fe, data.alpha)
+        ell = forms.assemble_load(fe, data)
+        u = np.zeros(fe.num_velocity_dofs)
+        assert len(solved) >= len(log.rows) > 1
+        for (_, _, logged), x in zip(log.rows, solved):
+            u_new = plan.reconstruct(x)[0]
+            if damping != 1.0:
+                u_new = damping * u_new + (1.0 - damping) * u
+            u = u_new
+            _, _, defect, scale = stokes.energy_defect(u, A, ell)
+            assert logged == defect / scale
+            lhs = float(u @ (A @ u))
+            assert logged == abs(lhs - float(ell @ u)) / max(abs(lhs), 1.0)
 
     def test_bad_options_rejected(self):
         for opts in (PicardOptions(max_iterations=0),
@@ -351,3 +381,10 @@ class TestSmallness:
         s1 = smallness_indicator(mesh, base, n_triples=40, seed=3)
         s2 = smallness_indicator(mesh, doubled, n_triples=40, seed=3)
         assert s2 == pytest.approx(2.0 * s1, rel=1e-10)
+
+    @pytest.mark.parametrize("F", [np.eye(3), lambda p: np.zeros((len(p), 2))],
+                             ids=["constant-3x3", "callable-k2"])
+    def test_malformed_matrix_field_refused(self, F):
+        with pytest.raises(InvalidArgument, match="matrix field"):
+            smallness_indicator(make_unit_square(4),
+                                ProblemData(F=F, alpha=1.0), n_triples=10)

@@ -79,6 +79,34 @@ class TestManufactured:
         # Divergence is only weakly zero in Taylor-Hood: small, not exact.
         assert sol.diagnostics["divergence_l2"] < 0.01 * sol.diagnostics["h1_norm"]
 
+    def test_linear_residual_is_the_shared_residual(self, monkeypatch):
+        solved = []
+        gated_solve = saddle.gated_solve
+
+        def recording(system, solve):
+            x = gated_solve(system, solve)
+            solved.append((system, x))
+            return x
+
+        monkeypatch.setattr(saddle, "gated_solve", recording)
+        monkeypatch.setattr(stokes, "gated_solve", recording)
+        sol = solve_stokes(make_unit_square(8), stokes_mms()["data"])
+        [(system, x)] = solved
+        residual = saddle.relative_residual(system, x)
+        assert sol.diagnostics["linear_residual"] == residual
+        assert residual == (np.linalg.norm(system.matrix @ x - system.rhs)
+                            / np.linalg.norm(system.rhs))
+        # A zero right-hand side is measured absolutely.
+        zero = saddle.SaddleSystem(system.matrix, np.zeros_like(system.rhs))
+        assert saddle.relative_residual(zero, x) == np.linalg.norm(
+            system.matrix @ x)
+
+    @pytest.mark.parametrize("F", [np.eye(3), lambda p: np.zeros((len(p), 2))],
+                             ids=["constant-3x3", "callable-k2"])
+    def test_malformed_matrix_field_refused(self, F):
+        with pytest.raises(InvalidArgument, match="matrix field"):
+            solve_stokes(make_unit_square(4), ProblemData(F=F, alpha=1.0))
+
 
 class TestLargeFriction:
     @pytest.mark.parametrize("alpha", [1e11, 1e12])
