@@ -74,8 +74,9 @@ class ExperimentConfig:
             raise InvalidArgument(f"bad level list {self.levels!r}")
         if list(self.levels) != sorted(set(self.levels)):
             raise InvalidArgument("levels must be strictly increasing")
-        if not self.alpha >= 0:
-            raise InvalidArgument("friction values must be nonnegative")
+        values = np.array([self.alpha, *self.alpha_schedule], dtype=float)
+        if not (np.isfinite(values) & (values >= 0.0)).all():
+            raise InvalidArgument("friction values must be finite and nonnegative")
         return self
 
 

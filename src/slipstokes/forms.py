@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import fem
-from .errors import InvalidArgument, NumericalError
+from .errors import NumericalError
 from .fields import eval_boundary_field, sample_alpha
 
 
@@ -166,14 +166,9 @@ def load_samples(fe, data, quad_order=6):
     flat = pts.reshape(-1, 2)
     f = F = h = None
     if data.f is not None:
-        f = fem._eval_vector(data.f, flat).reshape(pts.shape)
+        f = fem.eval_field(data.f, flat, flat.shape, "vector").reshape(pts.shape)
     if data.F is not None:
-        F = np.asarray(data.F(flat) if callable(data.F) else data.F, dtype=float)
-        if F.shape == (2, 2):                           # a constant field
-            F = np.broadcast_to(F, (len(flat), 2, 2))
-        if F.shape != (len(flat), 2, 2):
-            raise InvalidArgument(f"matrix field has shape {F.shape}, expected "
-                                  f"(2, 2) or ({len(flat)}, 2, 2)")
+        F = fem.eval_field(data.F, flat, (len(flat), 2, 2), "matrix")
         F = F.reshape(*pts.shape[:2], 2, 2)
     if data.h is not None:
         mesh = fe.mesh

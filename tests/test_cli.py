@@ -107,6 +107,12 @@ class TestExperimentCommand:
         code, _, _ = run(capsys, "experiment", "warp_drive")
         assert code == 2
 
+    def test_negative_schedule_exits_2(self, capsys):
+        code, _, err = run(capsys, "experiment", "alpha_to_zero", "--levels",
+                           "4", "--alpha-schedule", "1,-1")
+        assert code == 2
+        assert "config error" in err and "nonnegative" in err
+
     def test_too_few_levels_exits_2(self, capsys):
         # Rate fits need three levels, so this is a config error.
         code, _, err = run(capsys, "experiment", "mms", "--levels", "4,8")

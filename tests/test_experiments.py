@@ -77,6 +77,14 @@ class TestConfigs:
         with pytest.raises(InvalidArgument):
             ExperimentConfig(kind="mms", alpha=float("nan")).validate()
 
+    @pytest.mark.parametrize("alpha,schedule", [
+        (float("inf"), ()), (1.0, (1.0, float("nan"))), (1.0, (1.0, -1.0)),
+        (1.0, (float("inf"),))])
+    def test_non_finite_or_negative_friction_rejected(self, alpha, schedule):
+        with pytest.raises(InvalidArgument, match="finite and nonnegative"):
+            ExperimentConfig(kind="alpha_to_zero", alpha=alpha,
+                             alpha_schedule=schedule).validate()
+
     def test_parse_config_round_trip(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("""
@@ -215,8 +223,14 @@ class TestReports:
         assert report.fits["uniformity"]["max_over_min"] < 10.0
 
 
-def test_ns_limits_refuses_non_finite_friction():
-    # A malformed schedule is refused, not recorded as a non-converged row.
+def test_ns_limits_refuses_non_finite_friction(monkeypatch):
+    # A malformed schedule is refused before anything is solved, not
+    # recorded as a non-converged row.
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the schedule was checked")
+
+    for name in ("solve_navier_stokes", "solve_stokes", "solve_friction_sweep"):
+        monkeypatch.setattr(f"slipstokes.experiments.{name}", refuse)
     cfg = ExperimentConfig(kind="ns_limits", levels=(4,),
                            alpha_schedule=(1.0, float("nan")))
     with pytest.raises(InvalidArgument, match="finite"):

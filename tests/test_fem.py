@@ -109,6 +109,21 @@ class TestSystem:
         assert np.allclose(mids, ends.mean(axis=1), atol=1e-15)
 
 
+class TestPhysicalGradients:
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("mesh", [make_unit_square(7), make_disk(3)],
+                             ids=["square", "disk"])
+    def test_bitwise_the_contraction(self, mesh, order):
+        # invJ^T grad_ref, the sign of every zero included.
+        fe = fem.FeSystem(mesh)
+        rule = fem.quadrature(order)
+        expected = np.einsum("tab,qib->qtia", fe.inv_jac_t,
+                             fem.p2_ref_grads(rule.tri_points))
+        got = fe.physical_grads(rule)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestLiveSystem:
     def test_one_system_per_live_mesh(self):
         mesh = make_unit_square(4)
@@ -185,6 +200,22 @@ class TestInterpolation:
         fe = build_taylor_hood(m)
         with pytest.raises(NumericalError):
             interpolate(fe, lambda p: np.full((len(p), 2), np.nan), "velocity")
+
+    def test_constants_broadcast(self):
+        fe = build_taylor_hood(make_unit_square(2))
+        n = fe.num_velocity_nodes
+        u = interpolate(fe, np.array([1.0, -2.0]), "velocity")
+        assert np.array_equal(u, np.repeat([1.0, -2.0], n))
+        assert np.array_equal(interpolate(fe, 3.0, "velocity"), np.full(2 * n, 3.0))
+        assert np.array_equal(interpolate(fe, 0.5, "pressure"),
+                              np.full(fe.num_pressure_dofs, 0.5))
+
+    @pytest.mark.parametrize("space,kind", [("velocity", "vector"),
+                                            ("pressure", "scalar")])
+    def test_constant_of_wrong_shape_refused(self, space, kind):
+        fe = build_taylor_hood(make_unit_square(4))
+        with pytest.raises(InvalidArgument, match=f"{kind} field has shape"):
+            interpolate(fe, np.ones(3), space)
 
 
 class TestNorms:

@@ -1,4 +1,5 @@
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -33,6 +34,18 @@ def _counting_lu(calls):
     def wrapper(mat):
         calls.append(mat.shape)
         return symmetric_lu(mat)
+    return wrapper
+
+
+def _counting_solves(solves):
+    """``symmetric_lu`` whose factors record each solve in ``solves``."""
+    def wrapper(mat):
+        lu = symmetric_lu(mat)
+
+        def solve(b):
+            solves.append(b.shape)
+            return lu.solve(b)
+        return types.SimpleNamespace(solve=solve)
     return wrapper
 
 
@@ -221,3 +234,56 @@ class TestFactorizations:
         assert len(calls) == 1
         infsup_constant(mesh)
         assert len(calls) == 2
+
+
+def _all_constants(mesh):
+    out = {"korn_no_friction": korn_quotient_min(mesh).constant,
+           "korn_with_friction": korn_quotient_min(mesh, alpha=1.0).constant,
+           "infsup": infsup_constant(mesh).constant}
+    if mesh.domain_tag == "disk":
+        for name, rep in beta_inequality_checks(mesh).items():
+            out[name] = rep.constant
+    return out
+
+
+class TestStoppingRule:
+    """Lanczos stops at a residual of ``LANCZOS_RTOL``, not machine epsilon.
+
+    The Ritz value's error is quadratic in the residual, so a constant
+    whose eigenvalue is separated is the one a run to ARPACK's default
+    tolerance (``tol=0``) finds; inside a cluster it is within the tolerance.
+    """
+
+    @pytest.mark.parametrize("domain,level", [
+        ("square", 8), ("square", 16), ("disk", 1), ("disk", 2), ("disk", 3)])
+    def test_constants_match_full_convergence(self, monkeypatch, domain, level):
+        mesh = _mesh(domain, level)
+        stopped = _all_constants(mesh)
+        monkeypatch.setattr(spectra, "LANCZOS_RTOL", 0.0)
+        converged = _all_constants(mesh)
+        for name, value in converged.items():
+            assert abs(stopped[name] - value) <= 1e-13 * abs(value), name
+        if domain == "disk":
+            # The kernel still snaps to exactly zero.
+            assert stopped["korn_no_friction"] == 0.0
+
+    def test_cluster_resolved_to_the_tolerance(self, monkeypatch):
+        # Disk 5's smallest inf-sup eigenvalues lie within 1e-8 relative of
+        # each other, below the stopping residual, so the run may end inside
+        # the cluster: above the minimum, by at most the tolerance.
+        mesh = make_disk(5)
+        tol = spectra.LANCZOS_RTOL
+        stopped = infsup_constant(mesh).constant
+        monkeypatch.setattr(spectra, "LANCZOS_RTOL", 0.0)
+        converged = infsup_constant(mesh).constant
+        assert converged <= stopped <= (1.0 + tol) * converged
+
+    @pytest.mark.parametrize("constant,mesh,budget", [
+        (lambda m: korn_quotient_min(m, alpha=1.0), make_unit_square(16), 81),
+        (infsup_constant, make_disk(3), 51)], ids=["korn-square16", "infsup-disk3"])
+    def test_solve_budget(self, monkeypatch, constant, mesh, budget):
+        # ARPACK's default tolerance spends 141 and 81 solves on these.
+        solves = []
+        monkeypatch.setattr(spectra, "symmetric_lu", _counting_solves(solves))
+        constant(mesh)
+        assert 0 < len(solves) <= budget

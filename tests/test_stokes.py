@@ -107,6 +107,11 @@ class TestManufactured:
         with pytest.raises(InvalidArgument, match="matrix field"):
             solve_stokes(make_unit_square(4), ProblemData(F=F, alpha=1.0))
 
+    def test_constant_forcing_of_wrong_shape_refused(self):
+        with pytest.raises(InvalidArgument, match="vector field"):
+            solve_stokes(make_unit_square(4),
+                         ProblemData(f=np.ones(3), alpha=1.0))
+
 
 class TestLargeFriction:
     @pytest.mark.parametrize("alpha", [1e11, 1e12])
