@@ -11,11 +11,12 @@ Subcommands
 Exit codes: 0 on success, 1 when the solver fails (singular system,
 failed residual or energy check, nonconvergence, incompatible data),
 2 when the request itself is malformed (bad flags, bad config file,
-missing inputs).
+missing inputs, an output path that cannot be written).
 """
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (IncompatibleData, InvalidArgument, MaxIterations,
@@ -32,7 +33,7 @@ from .stokes import solve_stokes
 
 _SOLVER_ERRORS = (SingularSystem, NumericalError, MaxIterations,
                   IncompatibleData)
-_CONFIG_ERRORS = (InvalidArgument, ParseError, FileNotFoundError)
+_CONFIG_ERRORS = (InvalidArgument, ParseError, OSError)
 
 DATA_CHOICES = ("sweep", "mms", "disk-drive", "disk-compatible")
 
@@ -105,17 +106,20 @@ def build_parser():
 
 
 def _problem_data(args):
+    amp = args.amplitude
+    if amp is not None and not math.isfinite(amp):
+        raise InvalidArgument(f"amplitude must be finite, got {amp}")
     if args.data == "sweep":
         base = sweep_forcing()
         return ProblemData(f=base.f, F=base.F, h=base.h, alpha=args.alpha,
                            compatibility_mode=args.compat)
     if args.data == "mms":
-        amp = args.amplitude
         if args.command == "solve-ns":
-            case = navier_stokes_mms(alpha=args.alpha,
-                                     amplitude=amp if amp else 0.15)
+            case = navier_stokes_mms(
+                alpha=args.alpha, amplitude=0.15 if amp is None else amp)
         else:
-            case = stokes_mms(alpha=args.alpha, amplitude=amp if amp else 1.0)
+            case = stokes_mms(alpha=args.alpha,
+                              amplitude=1.0 if amp is None else amp)
         return case["data"]
     if args.data == "disk-drive":
         if args.domain != "disk":

@@ -47,6 +47,7 @@ KINDS = ("mms", "alpha_to_zero", "alpha_to_infinity", "uniform_bound",
          "compat_disk", "spectra_suite", "ns_mms", "ns_limits")
 
 COMPAT_TOL = 1e-10
+FIT_DROP_FACTOR = 0.3
 
 
 @dataclass
@@ -77,6 +78,8 @@ class ExperimentConfig:
         values = np.array([self.alpha, *self.alpha_schedule], dtype=float)
         if not (np.isfinite(values) & (values >= 0.0)).all():
             raise InvalidArgument("friction values must be finite and nonnegative")
+        if self.amplitude is not None and not np.isfinite(self.amplitude):
+            raise InvalidArgument(f"amplitude must be finite, got {self.amplitude}")
         return self
 
 
@@ -139,10 +142,10 @@ def _environment():
     }
 
 
-def fit_rate(x, y, drop_factor=0.3):
+def fit_rate(x, y):
     """Least-squares slope of log(y) against log(x) with the stored drop rule.
 
-    Points with ``y > drop_factor * y[0]`` are excluded as pre-asymptotic;
+    Points with ``y > FIT_DROP_FACTOR * y[0]`` are excluded as pre-asymptotic;
     if fewer than three points survive, the last three are used.  Returns
     a dict with slope, intercept, rms residual and the used point count.
     """
@@ -152,7 +155,7 @@ def fit_rate(x, y, drop_factor=0.3):
         raise InvalidArgument("rate fits need at least 3 points")
     if np.any(x <= 0) or np.any(y <= 0):
         raise InvalidArgument("rate fits need positive data")
-    keep = y <= drop_factor * y[0]
+    keep = y <= FIT_DROP_FACTOR * y[0]
     if keep.sum() < 3:
         keep = np.zeros(len(x), dtype=bool)
         keep[-3:] = True
@@ -212,8 +215,8 @@ def _mms_study(cfg, case, columns, solve):
 
 
 def run_mms(cfg):
-    case = stokes_mms(alpha=cfg.alpha,
-                      amplitude=cfg.amplitude if cfg.amplitude else 1.0)
+    case = stokes_mms(alpha=cfg.alpha, amplitude=(
+        1.0 if cfg.amplitude is None else cfg.amplitude))
 
     def solve(mesh):
         sol = solve_stokes(mesh, case["data"])
@@ -352,8 +355,8 @@ def run_spectra_suite(cfg):
 
 
 def run_ns_mms(cfg):
-    case = navier_stokes_mms(alpha=cfg.alpha,
-                             amplitude=cfg.amplitude if cfg.amplitude else 0.15)
+    case = navier_stokes_mms(alpha=cfg.alpha, amplitude=(
+        0.15 if cfg.amplitude is None else cfg.amplitude))
 
     def solve(mesh):
         sol, log = solve_navier_stokes(mesh, case["data"], options=cfg.picard)
@@ -367,8 +370,8 @@ def run_ns_limits(cfg):
     wall = {}
     mesh, fe, schedule = _finest(cfg, tuple(10.0 ** k for k in range(7)))
     H1 = forms.assemble_velocity_h1(fe)
-    case = navier_stokes_mms(alpha=1.0,
-                             amplitude=cfg.amplitude if cfg.amplitude else 0.15)
+    case = navier_stokes_mms(alpha=1.0, amplitude=(
+        0.15 if cfg.amplitude is None else cfg.amplitude))
     base = case["data"]
 
     u_d = _timed(wall, "dirichlet_reference", solve_navier_stokes, mesh, base,
@@ -393,8 +396,8 @@ def run_ns_limits(cfg):
     fits = {"achieved_range": {"min": min(achieved) if achieved else np.nan,
                                "max": max(achieved) if achieved else np.nan,
                                "reference_h1": ud_norm,
-                               "final_relative_gap":
-                                   rows[-1][1] / ud_norm if achieved else np.nan}}
+                               "final_relative_gap": rows[-1][1] / ud_norm
+                               if achieved and ud_norm else np.nan}}
     return _report(cfg, ("alpha", "error_h1_vs_dirichlet",
                          "boundary_tangential_l2", "iterations", "converged"),
                    rows, fits, wall)

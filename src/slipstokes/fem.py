@@ -9,7 +9,7 @@ vector stores all x components first, then all y components, so component
 
 Quadrature rules are symmetric Gauss rules on the reference triangle paired
 with Gauss-Legendre rules on the unit segment of matching polynomial
-exactness (orders 2, 4 and 6).
+exactness (orders 4 and 6).
 """
 
 import threading
@@ -38,10 +38,7 @@ class QuadratureRule:
 
 
 def _dunavant(order):
-    if order == 2:
-        pts = [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]
-        wts = [1.0 / 3.0] * 3
-    elif order == 4:
+    if order == 4:
         a1, w1 = 0.445948490915965, 0.223381589678011
         a2, w2 = 0.091576213509771, 0.109951743655322
         pts, wts = [], []
@@ -65,7 +62,7 @@ def _dunavant(order):
             pts.append(perm)
             wts.append(w3)
     else:
-        raise InvalidArgument(f"quadrature order must be one of 2, 4, 6, got {order!r}")
+        raise InvalidArgument(f"quadrature order must be 4 or 6, got {order!r}")
     return np.array(pts), 0.5 * np.array(wts)
 
 
@@ -102,10 +99,6 @@ def p2_ref_grads(bary):
 
 def p1_values(bary):
     return bary.copy()
-
-
-def p1_ref_grads():
-    return np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def segment_p2_values(t):
@@ -289,11 +282,11 @@ def eval_field(field, pts, shape, kind):
 class NormReport:
     """Quadrature-exact norms of a discrete field.
 
-    The boundary and divergence entries are None for pressures.
+    Every entry but ``l2`` is None for pressures.
     """
 
     l2: float
-    h1_semi: float
+    h1_semi: float | None = None
     boundary_l2_tangential: float | None = None
     divergence_l2: float | None = None
 
@@ -302,16 +295,15 @@ class NormReport:
         return float(np.hypot(self.l2, self.h1_semi))
 
 
-def norms(fe, coeffs, quad_order=4):
+def norms(fe, coeffs):
     """Norms of a velocity (length ``2N``) or pressure (length ``nv``) vector."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if quad_order < 4:
-        raise InvalidArgument("norms require quadrature order >= 4")
-    rule = quadrature(quad_order)
+    rule = quadrature(4)
     if coeffs.shape == (fe.num_velocity_dofs,):
         return _velocity_norms(fe, coeffs, rule)
     if coeffs.shape == (fe.num_pressure_dofs,):
-        return _pressure_norms(fe, coeffs, rule)
+        d = _pressure_at(fe, coeffs, rule)
+        return NormReport(np.sqrt(float(np.sum(fe.weights(rule) * d ** 2))))
     raise InvalidArgument(f"coefficient vector of length {coeffs.shape} matches "
                           "neither velocity nor pressure space")
 
@@ -360,28 +352,20 @@ def _velocity_norms(fe, coeffs, rule):
                       np.sqrt(divsq))
 
 
-def _pressure_norms(fe, coeffs, rule):
-    l2sq = float(np.sum(fe.weights(rule) * _pressure_at(fe, coeffs, rule) ** 2))
-    g = np.einsum("tab,kb->tka", fe.inv_jac_t, p1_ref_grads())   # (nt, 3, 2)
-    ge = np.einsum("tka,tk->ta", g, coeffs[fe.tri_pnodes])
-    h1sq = float(np.sum(0.5 * fe.det * (ge[:, 0] ** 2 + ge[:, 1] ** 2)))
-    return NormReport(np.sqrt(l2sq), np.sqrt(h1sq))
-
-
 def pressure_mean(fe, coeffs):
     """Integral of a P1 pressure over the domain."""
     e = np.asarray(coeffs)[fe.tri_pnodes]
     return float(np.sum(fe.det / 6.0 * e.sum(axis=1)))
 
 
-def velocity_error_h1(fe, coeffs, exact, exact_grad, quad_order=6):
+def velocity_error_h1(fe, coeffs, exact, exact_grad):
     """L2 and H1 errors of a velocity vector against closed forms.
 
     ``exact`` maps (k, 2) points to (k, 2) values; ``exact_grad`` maps
     (k, 2) points to (k, 2, 2) Jacobians with entry [i, j] = d(u_i)/d(x_j).
     Returns ``(l2_error, h1_error)`` with the full H1 norm.
     """
-    rule = quadrature(quad_order)
+    rule = quadrature(6)
     (vx, gxh), (vy, gyh) = _velocity_at(fe, coeffs, rule)
     w = fe.weights(rule)
     pts = fe.quad_coords(rule)
@@ -400,9 +384,9 @@ def velocity_error_h1(fe, coeffs, exact, exact_grad, quad_order=6):
     return np.sqrt(l2sq), np.sqrt(l2sq + h1semisq)
 
 
-def pressure_error_l2(fe, coeffs, exact, quad_order=6):
+def pressure_error_l2(fe, coeffs, exact):
     """L2 error of a P1 pressure against a closed form."""
-    rule = quadrature(quad_order)
+    rule = quadrature(6)
     pts = fe.quad_coords(rule)
     pex = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     d = _pressure_at(fe, coeffs, rule) - pex

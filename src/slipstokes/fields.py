@@ -164,7 +164,7 @@ def _mms_velocity(amplitude):
     return ClosedFormField(value, grad)
 
 
-def traction_boundary_field(u_field, alpha, extra_tangential=0.0):
+def traction_boundary_field(u_field, alpha):
     """Boundary data ``h = [2 D(u) n]_tan + alpha u_tan`` for a closed form u.
 
     Returns a callable ``h(x, n, t)`` suitable for :class:`ProblemData`;
@@ -176,7 +176,7 @@ def traction_boundary_field(u_field, alpha, extra_tangential=0.0):
         dn = np.einsum("kab,kb->ka", d, n)
         tdn = np.einsum("ka,ka->k", t, dn)
         ut = np.einsum("ka,ka->k", u_field.value(p), t)
-        scal = 2.0 * tdn + alpha * ut + extra_tangential
+        scal = 2.0 * tdn + alpha * ut
         return scal[:, None] * t
 
     return h
@@ -219,7 +219,7 @@ def navier_stokes_mms(alpha=1.0, amplitude=0.15):
 
     def f(p):
         x, y = p[:, 0], p[:, 1]
-        conv = 0.5 * A ** 2 * PI ** 3 * np.column_stack([
+        conv = 0.5 * A * A * PI ** 3 * np.column_stack([
             np.sin(2.0 * PI * x), np.sin(2.0 * PI * y)])
         return f_stokes(p) + conv
 

@@ -60,9 +60,9 @@ def _p2_mass(fe, rule):
     return np.einsum("qt,qi,qj->tij", fe.weights(rule), vals, vals)
 
 
-def assemble_viscous(fe, quad_order=4):
+def assemble_viscous(fe):
     """Twice the strain inner product; kernel = {constants, rigid rotation}."""
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(4)
     grads = fe.physical_grads(rule)                  # (nq, nt, 6, 2)
     # k[t, a, b] = int d_a(phi_i) d_b(phi_j): rows test, columns trial
     wg = fe.weights(rule)[:, :, None, None] * grads
@@ -75,14 +75,14 @@ def assemble_viscous(fe, quad_order=4):
     return mat
 
 
-def assemble_velocity_mass(fe, quad_order=4):
+def assemble_velocity_mass(fe):
     """Vector L2 mass matrix."""
-    return _componentwise(fe, _p2_mass(fe, fem.quadrature(quad_order)))
+    return _componentwise(fe, _p2_mass(fe, fem.quadrature(4)))
 
 
-def assemble_velocity_h1(fe, quad_order=4):
+def assemble_velocity_h1(fe):
     """Full H1 Gram matrix: L2 mass plus the full-gradient stiffness."""
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(4)
     grads = fe.physical_grads(rule)
     k = np.einsum("qt,qtia,qtja->tij", fe.weights(rule), grads, grads)
     return _componentwise(fe, _p2_mass(fe, rule) + k)
@@ -94,28 +94,28 @@ def velocity_h1_norm(H1, v):
     return float(np.sqrt(max(v @ (H1 @ v), 0.0)))
 
 
-def assemble_pressure_mass(fe, quad_order=4):
-    rule = fem.quadrature(quad_order)
+def assemble_pressure_mass(fe):
+    rule = fem.quadrature(4)
     vals = fem.p1_values(rule.tri_points)
     local = np.einsum("qt,qi,qj->tij", fe.weights(rule), vals, vals)
     n = fe.num_pressure_dofs
     return _scatter(local, fe.tri_pnodes, fe.tri_pnodes, (n, n))
 
 
-def friction_samples(fe, alpha, quad_order=4):
+def friction_samples(fe, alpha):
     """``(rule, alpha at its boundary points (nb, ns))``; see ``sample_alpha``."""
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(4)
     return rule, sample_alpha(alpha, fe.boundary_quad_coords(rule),
                               fe.mesh.boundary_markers)
 
 
-def assemble_friction(fe, alpha, quad_order=4):
+def assemble_friction(fe, alpha):
     """Tangential boundary friction form; zero matrix when alpha == 0."""
     mesh = fe.mesh
     n = fe.num_velocity_dofs
     if np.isscalar(alpha) and not callable(alpha) and float(alpha) == 0.0:
         return sparse.csr_matrix((n, n))
-    rule, avals = friction_samples(fe, alpha, quad_order)
+    rule, avals = friction_samples(fe, alpha)
     shapes = fem.segment_p2_values(rule.seg_points)        # (ns, 3)
     ww = mesh.boundary_lengths()[:, None] * rule.seg_weights[None, :] * avals
     s = np.einsum("bs,si,sj->bij", ww, shapes, shapes)     # (nb, 3, 3)
@@ -127,13 +127,13 @@ def assemble_friction(fe, alpha, quad_order=4):
     return _scatter(local, dofs, dofs, (n, n))
 
 
-def assemble_divergence(fe, quad_order=4):
+def assemble_divergence(fe):
     """Pressure-velocity coupling q^T B v = -int q div(v), shape (nv, 2N).
 
     The sign makes the saddle multiplier the physical pressure: the
     momentum row A u + B^T p = ell then reads a(u, v) - int p div(v).
     """
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(4)
     pvals = fem.p1_values(rule.tri_points)
     grads = fe.physical_grads(rule)
     local = -np.einsum("qt,qi,qtja->tiaj", fe.weights(rule), pvals,
@@ -154,14 +154,14 @@ def _boundary_pairing(fe, rule, field):
                        local.ravel(), minlength=fe.num_velocity_dofs)
 
 
-def load_samples(fe, data, quad_order=6):
+def load_samples(fe, data):
     """The problem data at the points of the load's rule.
 
     Returns ``(rule, f, F, h)``: ``f`` (nq, nt, 2), ``F`` (nq, nt, 2, 2)
     and the tangential part ``h . t`` (nb, ns), each None where ``data``
     has none.  A field of the wrong shape raises ``InvalidArgument``.
     """
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(6)
     pts = fe.quad_coords(rule)
     flat = pts.reshape(-1, 2)
     f = F = h = None
@@ -177,9 +177,9 @@ def load_samples(fe, data, quad_order=6):
     return rule, f, F, h
 
 
-def assemble_load(fe, data, quad_order=6):
+def assemble_load(fe, data):
     """Right-hand side vector for the momentum equation."""
-    rule, fv, Fv, ht = load_samples(fe, data, quad_order)
+    rule, fv, Fv, ht = load_samples(fe, data)
     vals = fem.p2_values(rule.tri_points)
     w = fe.weights(rule)
     local = np.zeros((len(fe.tri_vnodes), 2, 6))      # [triangle, component, node]
@@ -200,14 +200,14 @@ def assemble_load(fe, data, quad_order=6):
     return ell
 
 
-def assemble_convection_skew(fe, w_coeffs, quad_order=6):
+def assemble_convection_skew(fe, w_coeffs):
     """Skew-symmetrized convection matrix for transport field w.
 
     The raw scalar matrix N has entries int (w.grad(phi_j)) phi_i; the
     returned matrix applies (N - N^T)/2, antisymmetric entrywise, to each
     velocity component and stores no entry coupling the two.
     """
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(6)
     wqx, wqy = fem.velocity_values(fe, w_coeffs, rule)
     vals = fem.p2_values(rule.tri_points)
     grads = fe.physical_grads(rule)
@@ -224,7 +224,7 @@ def pressure_integral_vector(fe):
     return m
 
 
-def boundary_rotation_functional(fe, quad_order=4):
+def boundary_rotation_functional(fe):
     """Vector g with g^T v = int_Gamma v . beta ds for the rigid rotation beta.
 
     Used as the kernel guard row on the disk and as the circulation
@@ -232,7 +232,7 @@ def boundary_rotation_functional(fe, quad_order=4):
     used (no tangential projection); its normal component on the polygon is
     the geometric discretization residue that the experiments measure.
     """
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(4)
     pts = fe.boundary_quad_coords(rule)                   # (nb, ns, 2)
     beta = np.stack([-pts[..., 1], pts[..., 0]], axis=-1)
     return _boundary_pairing(fe, rule, beta)

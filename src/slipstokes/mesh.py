@@ -32,6 +32,7 @@ MARKER_LEFT = 4
 MARKER_CIRCLE = 1
 
 FORMAT_HEADER = "navier-slip-mesh v1"
+CORNER_ANGLE_TOL = 1e-6
 
 
 def _rot90(v):
@@ -145,6 +146,9 @@ def _validate(mesh):
     be = mesh.boundary_edges
     if be.min(initial=0) < 0 or be.max(initial=-1) >= nv:
         raise InvalidArgument("boundary edge vertex index out of range")
+    if not (np.isfinite(mesh.boundary_normals).all()
+            and np.isfinite(mesh.boundary_kappa).all()):
+        raise InvalidArgument("non-finite boundary normals or curvature")
     norms = np.hypot(mesh.boundary_normals[:, 0], mesh.boundary_normals[:, 1])
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise InvalidArgument("boundary normals must be unit vectors")
@@ -354,11 +358,11 @@ class BoundaryFrameTable:
     corner: np.ndarray
 
 
-def boundary_frames(mesh, angle_tol=1e-6):
+def boundary_frames(mesh):
     """Build averaged (normal, tangent) frames at boundary vertices.
 
     A vertex is flagged as a corner when both adjacent edges are straight
-    (zero curvature) and their normals differ by more than ``angle_tol``
+    (zero curvature) and their normals differ by more than ``CORNER_ANGLE_TOL``
     radians.  On curved boundaries the per-edge turn angle is geometry,
     not a corner, so curvature-tagged edges never produce corner flags.
     """
@@ -374,7 +378,7 @@ def boundary_frames(mesh, angle_tol=1e-6):
     smooth = (mesh.boundary_kappa[e_in] > 0.0) & (mesh.boundary_kappa[e_out] > 0.0)
     angle = np.arctan2(np.abs(n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]),
                        n1[:, 0] * n2[:, 0] + n1[:, 1] * n2[:, 1])
-    corner = ~smooth & (angle > angle_tol)
+    corner = ~smooth & (angle > CORNER_ANGLE_TOL)
     return BoundaryFrameTable(vertex_ids, normals, _rot90(normals), corner)
 
 
@@ -405,8 +409,13 @@ def write_mesh(path, mesh):
 
 def read_mesh(path):
     """Read a ``navier-slip-mesh v1`` file; raises ParseError with a line number."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte {raw[exc.start]:#04x}",
+                         line=raw.count(b"\n", 0, exc.start) + 1) from None
     cursor = 0
 
     def take():
@@ -444,23 +453,23 @@ def read_mesh(path):
                 raise ParseError(f"expected {fields} fields, got {len(items)}", line=ln)
             try:
                 rows.append([kind(tok) for kind, tok in zip(kinds, items)])
-            except ValueError:
+            except (ValueError, OverflowError):     # int64 overflow too
                 raise ParseError(f"bad value in {text!r}", line=ln) from None
         return rows
 
     verts = section("vertices", 2, (float, float))
     if not verts:
         raise ParseError("empty vertex section", line=cursor)
-    tris = section("triangles", 3, (int, int, int))
-    bnd = section("boundary", 6, (int, int, int, float, float, float))
+    tris = section("triangles", 3, (np.int64,) * 3)
+    bnd = section("boundary", 6, (np.int64,) * 3 + (float,) * 3)
     if cursor != len(lines) and any(s.strip() for s in lines[cursor:]):
         raise ParseError("trailing content after boundary section", line=cursor + 1)
-    bnd = np.array(bnd, dtype=float).reshape(-1, 6)
+    ints = np.array([row[:3] for row in bnd], dtype=np.int64).reshape(-1, 3)
+    reals = np.array([row[3:] for row in bnd], dtype=float).reshape(-1, 3)
     try:
         return TriMesh(np.array(verts, dtype=float).reshape(-1, 2),
                        np.array(tris, dtype=np.int64).reshape(-1, 3),
-                       bnd[:, 0:2].astype(np.int64),
-                       bnd[:, 2].astype(np.int64),
-                       bnd[:, 3:5], bnd[:, 5], domain_tag)
+                       ints[:, 0:2], ints[:, 2], reals[:, 0:2], reals[:, 2],
+                       domain_tag)
     except InvalidArgument as exc:
         raise ParseError(f"invalid mesh: {exc}") from exc

@@ -22,7 +22,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,9 +75,20 @@ def load_solution(path):
     diagnostics = {}
     side = _sidecar(path)
     if os.path.exists(side):
-        with open(side, "r", encoding="ascii") as fh:
-            diagnostics = json.load(fh)
+        with open(side, "rb") as fh:
+            diagnostics = _json_object(fh.read(), f"sidecar {side}")
     return u, p, diagnostics
+
+
+def _json_object(raw, what, line=None):
+    """The JSON object in ASCII bytes ``raw``; ParseError otherwise."""
+    try:
+        obj = json.loads(raw.decode("ascii"))
+    except ValueError as exc:      # also non-ASCII bytes
+        raise ParseError(f"bad {what}: {exc}", line=line) from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} is not a JSON object", line=line)
+    return obj
 
 
 def _sidecar(path):
@@ -119,16 +130,16 @@ def _read_registry(registry_path):
     entries = {}
     if not os.path.exists(registry_path):
         return entries
-    with open(registry_path, "r", encoding="ascii") as fh:
+    types = {f.name: f.type for f in fields(RunRegistryEntry)}
+    with open(registry_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: bad registry record: "
-                                 f"{exc.msg}") from exc
+            rec = _json_object(line, "registry record", lineno)
+            if rec.keys() != types.keys() or not all(
+                    isinstance(rec[k], t) for k, t in types.items()):
+                raise ParseError("registry record is not a run entry",
+                                 line=lineno)
             entries[rec["run_id"]] = rec
     return entries
 

@@ -166,19 +166,19 @@ def _equilibrated_rcond(a, lu, d):
     return 1.0 / (norm * spla.onenormest(inverse, t=1))
 
 
-def factorize(matrix, pivot_rtol=PIVOT_RTOL):
+def factorize(matrix):
     """Gated ``symmetric_lu`` factors of a square saddle matrix.
 
     The matrix is accepted when the reciprocal 1-norm condition estimate
     of the symmetrically equilibrated ``D M D`` (see ``_equilibration``)
-    is at least ``pivot_rtol``.  The estimate reuses the factors and
+    is at least ``PIVOT_RTOL``.  The estimate reuses the factors and
     leaves numpy's global random state untouched.
 
     Raises
     ------
     SingularSystem
         On a zero row, an exactly singular factorization, or an
-        equilibrated condition estimate below ``pivot_rtol``.
+        equilibrated condition estimate below ``PIVOT_RTOL``.
     NumericalError
         On non-finite entries or a non-square matrix.
     """
@@ -194,9 +194,9 @@ def factorize(matrix, pivot_rtol=PIVOT_RTOL):
     except RuntimeError as exc:
         raise SingularSystem(f"sparse factorization failed: {exc}") from exc
     rcond = _equilibrated_rcond(a, lu, d)
-    if not rcond >= pivot_rtol:
+    if not rcond >= PIVOT_RTOL:
         raise SingularSystem(
-            f"equilibrated condition estimate {rcond:.3e} below {pivot_rtol:.1e}; "
+            f"equilibrated condition estimate {rcond:.3e} below {PIVOT_RTOL:.1e}; "
             "the operator has a kernel to working precision")
     return lu
 
@@ -235,13 +235,13 @@ def relative_residual(system, x):
                  / (bnorm if bnorm > 0 else 1.0))
 
 
-def factor_solve(system, pivot_rtol=PIVOT_RTOL):
+def factor_solve(system):
     """Solve a saddle system by sparse LU; deterministic for fixed input.
 
     ``factorize`` followed by ``gated_solve`` on its factors, so both
     gates apply.
     """
-    return gated_solve(system, factorize(system.matrix, pivot_rtol).solve)
+    return gated_solve(system, factorize(system.matrix).solve)
 
 
 def krylov_solve(system, lu, x0):

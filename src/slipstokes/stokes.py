@@ -16,7 +16,6 @@ gate, and the larger ones are solved by GMRES on the latest gated
 factors.  ``solve_stokes`` is the sweep of one value.
 """
 
-import json
 from dataclasses import dataclass, replace
 from itertools import groupby
 
@@ -33,6 +32,7 @@ from .saddle import (factor_solve, factorize, gated_solve, krylov_solve,
 
 ENERGY_RTOL = 1e-8
 COMPAT_RTOL = 1e-10
+EXPONENT_EPS = 1e-3
 
 
 @dataclass
@@ -48,9 +48,6 @@ class Solution:
     p: np.ndarray
     diagnostics: dict
     fe: object = None
-
-    def diagnostics_json(self):
-        return json.dumps(self.diagnostics, indent=2, sort_keys=True)
 
 
 def energy_defect(u, A_total, ell):
@@ -228,13 +225,13 @@ def energy_report(solution):
     return d["energy_lhs"], d["energy_rhs"], d["energy_residual"]
 
 
-def exponent_t(p, eps=1e-3):
+def exponent_t(p):
     """Integrability exponent required of the friction coefficient.
 
     Piecewise in the Lebesgue exponent ``p`` of the data: exactly 2 at
     ``p = 2``; any value above 2 for ``3/2 <= p <= 3``; any value above
     ``(2/3) max(p, p')`` otherwise.  Strict branches return the bound plus
-    ``eps``.  Symmetric under conjugation: ``t(p) == t(p')``.
+    ``EXPONENT_EPS``.  Symmetric under conjugation: ``t(p) == t(p')``.
     """
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
@@ -242,26 +239,26 @@ def exponent_t(p, eps=1e-3):
     if p == 2.0:
         return 2.0
     if 1.5 <= p <= 3.0:
-        return 2.0 + eps
+        return 2.0 + EXPONENT_EPS
     q = p / (p - 1.0)
-    return (2.0 / 3.0) * max(p, q) + eps
+    return (2.0 / 3.0) * max(p, q) + EXPONENT_EPS
 
 
-def exponent_r(p, eps=1e-3):
+def exponent_r(p):
     """Integrability exponent required of the volume force.
 
     ``max(1, 3p/(p+3))`` except at the critical ``p = 3/2`` where the
-    inequality is strict and ``1 + eps`` is returned.  ``r(2) = 6/5``.
+    inequality is strict and ``1 + EXPONENT_EPS`` is returned.  ``r(2) = 6/5``.
     """
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
         raise InvalidArgument(f"exponent p must lie in (1, inf), got {p!r}")
     if p == 1.5:
-        return 1.0 + eps
+        return 1.0 + EXPONENT_EPS
     return max(1.0, 3.0 * p / (p + 3.0))
 
 
-def boundary_identity_defect(u_field, mesh, quad_order=4):
+def boundary_identity_defect(u_field, mesh):
     """Max defect of the tangential strain identity on the exact circle.
 
     For fields tangent to the circle, ``2 n^T D(u) t = curl(u) - 2 kappa (u.t)``
@@ -273,7 +270,7 @@ def boundary_identity_defect(u_field, mesh, quad_order=4):
         raise InvalidArgument("the strain identity check requires a disk mesh")
     radius = float(mesh.metadata.get("radius", 1.0))
     kappa = 1.0 / radius
-    rule = fem.quadrature(quad_order)
+    rule = fem.quadrature(4)
     fe = fem.build_taylor_hood(mesh)
     pts = fe.boundary_quad_coords(rule).reshape(-1, 2)
     r = np.hypot(pts[:, 0], pts[:, 1])

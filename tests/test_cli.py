@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from slipstokes import cli, experiments
 from slipstokes.cli import main
 from slipstokes.mesh import read_mesh
 from slipstokes.persistence import load_solution
@@ -68,6 +69,44 @@ class TestSolveCommands:
                            "--alpha", alpha, "--out", str(tmp_path))
         assert code == 2
         assert "config error" in err and "finite" in err
+
+    def test_zero_amplitude_is_zero_data(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "solve-stokes", "--level", "4",
+                           "--data", "mms", "--amplitude", "0",
+                           "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["h1_norm"] == 0.0
+
+    def test_overflowing_amplitude_exits_1(self, capsys, tmp_path):
+        # The convective load squares the amplitude to inf: a solver error.
+        code, _, err = run(capsys, "solve-ns", "--level", "4", "--data",
+                           "mms", "--amplitude", "1e200", "--out", str(tmp_path))
+        assert code == 1
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["solve-stokes", "experiment"])
+    def test_existing_file_as_out_exits_2(self, capsys, tmp_path, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = (["solve-stokes", "--level", "4"] if command == "solve-stokes"
+                else ["experiment", "mms", "--levels", "2,3,4"])
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("config error") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_exits_2_before_solving(
+            self, capsys, tmp_path, monkeypatch, amplitude):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli, "solve_stokes", refuse)
+        monkeypatch.setattr(experiments, "solve_stokes", refuse)
+        for argv in (["solve-stokes", "--data", "mms", "--out", str(tmp_path)],
+                     ["experiment", "mms", "--levels", "2,3,4"]):
+            code, _, err = run(capsys, *argv, "--amplitude", amplitude)
+            assert code == 2
+            assert "config error" in err and "finite" in err
 
     def test_ns_solve(self, capsys, tmp_path):
         code, out, _ = run(capsys, "solve-ns", "--level", "4",

@@ -246,3 +246,12 @@ def test_ns_limits_propagates_programming_errors(monkeypatch):
     cfg = ExperimentConfig(kind="ns_limits", levels=(4,), alpha_schedule=(1.0,))
     with pytest.raises(TypeError, match="broken solver"):
         run_experiment(cfg)
+
+
+def test_ns_limits_zero_amplitude_has_no_relative_gap():
+    # Zero data: the clamped reference is zero, so the gap has no scale.
+    cfg = ExperimentConfig(kind="ns_limits", levels=(2,), amplitude=0.0,
+                           alpha_schedule=(1.0,))
+    gap = run_experiment(cfg).fits["achieved_range"]
+    assert gap["reference_h1"] == 0.0
+    assert np.isnan(gap["final_relative_gap"])

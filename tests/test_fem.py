@@ -22,12 +22,12 @@ def ref_triangle_monomial(m, n):
 
 class TestQuadrature:
     def test_weight_sums(self):
-        for order in (2, 4, 6):
+        for order in (4, 6):
             q = fem.quadrature(order)
             assert q.tri_weights.sum() == pytest.approx(0.5, abs=1e-15)
             assert q.seg_weights.sum() == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("order", [4, 6])
     def test_triangle_monomials_exact_to_order(self, order):
         q = fem.quadrature(order)
         x = q.tri_points[:, 1]
@@ -38,7 +38,7 @@ class TestQuadrature:
                 assert val == pytest.approx(ref_triangle_monomial(m, n),
                                             abs=1e-15), (m, n)
 
-    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("order", [4, 6])
     def test_segment_monomials_exact_to_order(self, order):
         q = fem.quadrature(order)
         for k in range(order + 1):
@@ -110,7 +110,7 @@ class TestSystem:
 
 
 class TestPhysicalGradients:
-    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("order", [4, 6])
     @pytest.mark.parametrize("mesh", [make_unit_square(7), make_disk(3)],
                              ids=["square", "disk"])
     def test_bitwise_the_contraction(self, mesh, order):
@@ -276,9 +276,3 @@ class TestNorms:
         rep = norms(fe, p)
         assert rep.l2 == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-14)
         assert fem.pressure_mean(fe, p) == pytest.approx(0.5, abs=1e-14)
-
-    def test_low_quadrature_rejected(self):
-        m = make_unit_square(2)
-        fe = build_taylor_hood(m)
-        with pytest.raises(InvalidArgument):
-            norms(fe, np.zeros(fe.num_velocity_dofs), quad_order=2)

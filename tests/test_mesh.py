@@ -217,6 +217,23 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             read_mesh(bad)
 
+    def test_non_ascii_byte(self, tmp_path):
+        good = tmp_path / "good.msh"
+        write_mesh(good, make_unit_square(2))
+        bad = tmp_path / "bad.msh"
+        bad.write_bytes(good.read_bytes().replace(b"0.5 0\n", b"0.5 \xe90\n"))
+        with pytest.raises(ParseError, match="line 5: non-ASCII byte 0xe9"):
+            read_mesh(bad)
+
+    def test_index_beyond_int64(self, tmp_path):
+        good = tmp_path / "good.msh"
+        write_mesh(good, make_unit_square(2))
+        bad = tmp_path / "bad.msh"
+        bad.write_text(good.read_text().replace(
+            "\n0 1 4\n", "\n99999999999999999999 1 4\n"))
+        with pytest.raises(ParseError, match="line 14: bad value"):
+            read_mesh(bad)
+
     def test_trailing_garbage(self, tmp_path):
         good = tmp_path / "good.msh"
         write_mesh(good, make_unit_square(2))
@@ -261,6 +278,14 @@ def _inward_normal(parts):
     parts["boundary_normals"][0] *= -1.0
 
 
+def _nan_normal(parts):
+    parts["boundary_normals"][0] = np.nan
+
+
+def _nan_kappa(parts):
+    parts["boundary_kappa"][0] = np.nan
+
+
 REFUSALS = [
     (_declared_twice, r"^boundary edge \(0, 1\) declared twice$"),
     (_missing_edge, r"^declared boundary does not match triangulation "
@@ -271,6 +296,8 @@ REFUSALS = [
      r"^boundary edge \(0, 8\) not on exactly one triangle$"),
     (_open_loop, r"^boundary edges do not form closed loops$"),
     (_inward_normal, r"^boundary normal does not point outward$"),
+    (_nan_normal, r"^non-finite boundary normals or curvature$"),
+    (_nan_kappa, r"^non-finite boundary normals or curvature$"),
 ]
 
 

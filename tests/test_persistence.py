@@ -50,6 +50,16 @@ class TestSnapshots:
         _, _, diag = load_solution(path)
         assert diag == {}
 
+    @pytest.mark.parametrize("sidecar", [b"{not json", b'{"a": "\xe9"}',
+                                         b"[1, 2]"],
+                             ids=["not-json", "not-ascii", "not-an-object"])
+    def test_bad_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "sol.bin"
+        write_solution(path, *sample_arrays(nu=2, npr=1))
+        (tmp_path / "sol.bin.json").write_bytes(sidecar)
+        with pytest.raises(ParseError, match="sidecar"):
+            load_solution(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "sol.bin"
         write_solution(path, *sample_arrays(nu=2, npr=1))
@@ -119,6 +129,14 @@ class TestRegistry:
         open(entry.path, "wb").write(bytes(blob))
         with pytest.raises(DuplicateRun):
             store_run(tmp_path, "stokes", u, p)
+
+    @pytest.mark.parametrize("record", ['"abc"', "[1, 2]", '{"path": "x"}'])
+    def test_registry_line_not_an_entry(self, tmp_path, record):
+        store_run(tmp_path, "stokes", *sample_arrays(seed=6))
+        reg = tmp_path / "registry.ndjson"
+        reg.write_text(reg.read_text() + record + "\n")
+        with pytest.raises(ParseError, match="line 2"):
+            store_run(tmp_path, "stokes", *sample_arrays(seed=7))
 
     def test_corrupt_registry_line_number(self, tmp_path):
         store_run(tmp_path, "stokes", *sample_arrays(seed=6))

@@ -10,7 +10,7 @@ from slipstokes import (beta_inequality_checks, fem, forms, infsup_constant,
                         korn_quotient_min, make_disk, make_unit_square, spectra)
 from slipstokes.constraints import build_constraint_plan
 from slipstokes.errors import InvalidArgument
-from slipstokes.fields import ProblemData, rigid_rotation
+from slipstokes.fields import ProblemData
 from slipstokes.mesh import TriMesh
 from slipstokes.saddle import symmetric_lu
 
@@ -198,10 +198,18 @@ class TestShiftInvertPaths:
         T, f = plan.rotation, plan.free
         A_half = 0.5 * plan.reduce(forms.assemble_viscous(fe)).toarray()
         M_l2 = plan.reduce(forms.assemble_velocity_mass(fe))
-        mass = forms.assemble_velocity_mass(fe, quad_order=6)
-        beta = fem.interpolate(fe, rigid_rotation().value)
+        # The volume moment int u.beta by the order-6 rule, independent
+        # of the order-4 mass matrix the checks use.
+        rule = fem.quadrature(6)
+        x = fe.quad_coords(rule)                          # (nq, nt, 2)
+        beta = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        local = np.einsum("qt,qtc,qi->tci", fe.weights(rule), beta,
+                          fem.p2_values(rule.tri_points))
+        dofs = np.hstack([fe.tri_vnodes, fe.tri_vnodes + fe.num_velocity_nodes])
+        moment = np.bincount(dofs.ravel(), local.ravel(),
+                             minlength=fe.num_velocity_dofs)
         functionals = {
-            "volume": (T.T @ (mass @ beta))[f],
+            "volume": (T.T @ moment)[f],
             "boundary": (T.T @ forms.boundary_rotation_functional(fe))[f]}
         state = np.random.get_state()
         reports = beta_inequality_checks(mesh)
