@@ -1,11 +1,12 @@
 """Impermeability constraints, pressure gauge and the disk kernel guard.
 
-Boundary velocity nodes are rotated into their local (normal, tangent)
-frame by an orthogonal 2x2 block; the normal coordinate is then eliminated.
-Corner vertices (square corners) are clamped entirely, since two
-non-parallel impermeability conditions meet there.  The pressure mean is
-pinned by one dense multiplier row, and on the disk with vanishing friction
-an additional multiplier row removes the rigid rotation from the kernel.
+The constrained velocity space (``v . n = 0`` at every boundary node) is
+one sparse matrix ``P`` with orthonormal columns: boundary velocity nodes
+are rotated into their (normal, tangent) frame by an orthogonal 2x2 block,
+and ``P`` keeps the columns of the tangential coordinates (none at square
+corners, where two impermeability conditions meet).  The pressure mean is
+pinned by one dense multiplier row, and on the disk with vanishing
+friction a second row removes the rigid rotation from the kernel.
 """
 
 from dataclasses import dataclass, replace
@@ -29,56 +30,39 @@ class ConstraintPlan:
 
     Attributes
     ----------
-    n_velocity, n_pressure : int
-        Unconstrained dof counts.
-    rotation : scipy CSR, (n_velocity, n_velocity)
-        Orthogonal change of basis; velocity = rotation @ rotated_coords.
-        Identity outside boundary nodes.
-    eliminated : int array
-        Rotated velocity coordinates forced to zero (normal components,
-        plus both components at corners).
-    free : int array
-        Complement of ``eliminated``.
-    gauge : (n_pressure,) array or None
+    basis : scipy CSR, one row per velocity dof
+        Orthonormal basis ``P`` of the constrained velocity space: ``P @ x``
+        is a constrained velocity, and ``P.T @ v`` are the coordinates of
+        ``v``'s orthogonal projection onto the space.
+    gauge : array, one entry per pressure dof
         Mean-value row pinning the pressure.
-    guard : (n_velocity,) array or None
-        Boundary rotation-moment row (unrotated coordinates); present
+    guard : array, one entry per velocity dof, or None
+        Boundary rotation-moment row (unreduced coordinates); present
         exactly when the domain is the disk and friction vanishes.
     labels : tuple
         Names of the multipliers, in row order.
     """
 
-    n_velocity: int
-    n_pressure: int
-    rotation: sparse.csr_matrix
-    eliminated: np.ndarray
-    free: np.ndarray
-    gauge: np.ndarray | None = None
+    basis: sparse.csr_matrix
+    gauge: np.ndarray
     guard: np.ndarray | None = None
-    labels: tuple = ()
+    labels: tuple = ("pressure_gauge",)
 
     def __post_init__(self):
-        T = self.rotation
-        for a in (T.data, T.indices, T.indptr, self.eliminated, self.free,
-                  self.gauge, self.guard):
+        P = self.basis
+        for a in (P.data, P.indices, P.indptr, self.gauge, self.guard):
             if a is not None:
                 a.flags.writeable = False
 
     def reduce(self, matrix):
-        """Rotate a velocity operator and keep its free-by-free block."""
-        T = self.rotation
-        f = self.free
-        return (T.T @ matrix @ T).tocsr()[f][:, f]
+        """``P^T matrix P``: a velocity operator on the constrained space."""
+        return (self.basis.T @ matrix @ self.basis).tocsr()
 
     def reconstruct(self, x):
         """Split a reduced solution into full velocity, pressure, multipliers."""
-        nf, np_ = len(self.free), self.n_pressure
-        rotated = np.zeros(self.n_velocity)
-        rotated[self.free] = x[:nf]
-        u = self.rotation @ rotated
-        p = x[nf:nf + np_]
-        multipliers = dict(zip(self.labels, x[nf + np_:]))
-        return u, p, multipliers
+        nf, np_ = self.basis.shape[1], len(self.gauge)
+        return (self.basis @ x[:nf], x[nf:nf + np_],
+                dict(zip(self.labels, x[nf + np_:])))
 
 
 def _rotation_matrix(fe, frames):
@@ -103,15 +87,12 @@ def _rotation_matrix(fe, frames):
 
 
 def _gauged_plan(fe, rotation, eliminated):
-    """The plan eliminating the unique ``eliminated`` after ``rotation``,
-    with the pressure gauge and no guard."""
-    n = fe.num_velocity_dofs
-    return ConstraintPlan(
-        n_velocity=n, n_pressure=fe.num_pressure_dofs, rotation=rotation,
-        eliminated=eliminated,
-        free=np.setdiff1d(np.arange(n, dtype=np.int64), eliminated,
-                          assume_unique=True),
-        gauge=forms.pressure_integral_vector(fe), labels=("pressure_gauge",))
+    """The plan keeping the columns of ``rotation`` outside the unique
+    ``eliminated``, with the pressure gauge and no guard."""
+    free = np.setdiff1d(np.arange(fe.num_velocity_dofs, dtype=np.int64),
+                        eliminated, assume_unique=True)
+    return ConstraintPlan(basis=rotation[:, free],
+                          gauge=forms.pressure_integral_vector(fe))
 
 
 def build_slip_plan(fe):
@@ -128,22 +109,14 @@ def build_slip_plan(fe):
                         fe.boundary_mid_nodes])))
 
 
-def friction_vanishes(fe, alpha):
-    """Whether every boundary sample of ``alpha`` on the friction form's
-    rule is at most 1e-14.
-
-    ``sample_alpha`` refuses a negative or non-finite sample with
-    ``InvalidArgument``.
-    """
-    _, avals = forms.friction_samples(fe, alpha)
-    return bool(np.all(np.abs(avals) <= ALPHA_ZERO_TOL))
-
-
 def build_constraint_plan(fe, data):
     """The shared ``fe.slip_plan()``, with the guard row exactly when the
-    domain is the disk and ``friction_vanishes``."""
+    domain is the disk and every boundary sample of ``alpha`` on the friction
+    rule is at most ``ALPHA_ZERO_TOL`` (``sample_alpha`` refuses a negative
+    or non-finite one with ``InvalidArgument``)."""
     plan = fe.slip_plan()
-    if friction_vanishes(fe, data.alpha) and fe.mesh.domain_tag == "disk":
+    _, avals = forms.friction_samples(fe, data.alpha)
+    if np.all(np.abs(avals) <= ALPHA_ZERO_TOL) and fe.mesh.domain_tag == "disk":
         return replace(plan, guard=forms.boundary_rotation_functional(fe),
                        labels=("pressure_gauge", "kernel_guard"))
     return plan
@@ -163,30 +136,21 @@ def build_dirichlet_plan(fe):
 
 
 def apply_plan(plan, A, B, ell):
-    """Rotate, eliminate and border the assembled blocks.
+    """Reduce the assembled blocks to the constrained space and border them.
 
     Returns a :class:`SaddleSystem` over the unknowns
-    ``[velocity_free, pressure, gauge multiplier?, guard multiplier?]``.
+    ``[velocity_free, pressure, gauge multiplier, guard multiplier?]``.
     """
-    T = plan.rotation
-    f = plan.free
-    A_ff = plan.reduce(A)
-    B_f = (B @ T).tocsr()[:, f]
-    ell_f = (T.T @ ell)[f]
-
-    blocks = [[A_ff, B_f.T], [B_f, None]]
-    rhs = [ell_f, np.zeros(plan.n_pressure)]
-    if plan.gauge is not None:
-        m = sparse.csr_matrix(plan.gauge[None, :])
-        blocks[0].append(None)
-        blocks[1].append(m.T)
-        blocks.append([None, m, None])
-        rhs.append(np.zeros(1))
+    P = plan.basis
+    B_f = B @ P
+    m = sparse.csr_matrix(plan.gauge[None, :])
+    blocks = [[plan.reduce(A), B_f.T, None], [B_f, None, m.T], [None, m, None]]
+    rhs = [P.T @ ell, np.zeros(len(plan.gauge) + 1)]
     if plan.guard is not None:
-        g = sparse.csr_matrix((T.T @ plan.guard)[f][None, :])
+        g = sparse.csr_matrix((P.T @ plan.guard)[None, :])
         for k, row in enumerate(blocks):
             row.append(g.T if k == 0 else None)
-        blocks.append([g] + [None] * (len(blocks[0]) - 1))
+        blocks.append([g, None, None, None])
         rhs.append(np.zeros(1))
     matrix = sparse.bmat(blocks, format="csr")
     matrix.sort_indices()

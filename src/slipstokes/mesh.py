@@ -76,11 +76,11 @@ class TriMesh:
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
         self.boundary_markers = np.ascontiguousarray(boundary_markers, dtype=np.int64)
         self.boundary_normals = np.ascontiguousarray(boundary_normals, dtype=float)
-        self.boundary_tangents = _rot90(self.boundary_normals)
         self.boundary_kappa = np.ascontiguousarray(boundary_kappa, dtype=float)
         self.domain_tag = domain_tag
         self.metadata = dict(metadata or {})
         self.edges, self.triangle_edges, self.boundary_edge_ids = _validate(self)
+        self.boundary_tangents = _rot90(self.boundary_normals)
         for a in (self.vertices, self.triangles, self.boundary_edges,
                   self.boundary_markers, self.boundary_normals,
                   self.boundary_tangents, self.boundary_kappa, self.edges,
@@ -129,11 +129,18 @@ class TriMesh:
 
 
 def _validate(mesh):
-    nv = mesh.num_vertices
+    nv, nt, nb = (len(mesh.vertices), len(mesh.triangles),
+                  len(mesh.boundary_edges))
+    for name, shape in (("vertices", (nv, 2)), ("triangles", (nt, 3)),
+                        ("boundary_edges", (nb, 2)),
+                        ("boundary_markers", (nb,)),
+                        ("boundary_normals", (nb, 2)),
+                        ("boundary_kappa", (nb,))):
+        got = getattr(mesh, name).shape
+        if got != shape:
+            raise InvalidArgument(f"{name} has shape {got}, expected {shape}")
     if nv < 3:
         raise InvalidArgument("mesh needs at least 3 vertices")
-    if mesh.vertices.shape[1] != 2:
-        raise InvalidArgument("vertices must be 2D")
     if not np.isfinite(mesh.vertices).all():
         raise InvalidArgument("non-finite vertex coordinates")
     tris = mesh.triangles

@@ -244,16 +244,18 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0):
     H1 = forms.assemble_velocity_h1(fe)
     rng = np.random.default_rng(seed)
 
-    # Samples are free rotated coordinates; ``plan.reconstruct`` of a vector
-    # holding only those gives their constrained velocity.
+    # Samples are coordinates in the plan's orthonormal basis ``P``, so
+    # ``P @ z`` is a constrained velocity.
+    P = plan.basis
+
     def random_noise():
-        return plan.reconstruct(rng.standard_normal(len(plan.free)))[0]
+        return P @ rng.standard_normal(P.shape[1])
 
     def random_smooth():
         # The trilinear supremum is approached by smooth fields, so raw
         # coefficient noise alone underestimates it badly.  Interpolate a
-        # random low-order field, then project into the constrained space
-        # (the frame rotation is orthogonal blockwise).
+        # random low-order field, then project it orthogonally onto the
+        # constrained space, ``P @ P.T``.
         c = rng.standard_normal((2, 6))
 
         def field(p):
@@ -264,7 +266,7 @@ def smallness_indicator(mesh, data, n_triples=200, seed=0):
             return np.stack([basis @ c[0], basis @ c[1]], axis=1)
 
         coeffs = fem.interpolate(fe, field, "velocity")
-        return plan.reconstruct((plan.rotation.T @ coeffs)[plan.free])[0]
+        return P @ (P.T @ coeffs)
 
     pairs_per_w = 10
     n_w = max(1, n_triples // pairs_per_w)

@@ -30,7 +30,7 @@ from .errors import DuplicateRun, ParseError, VersionMismatch
 
 MAGIC = b"NSLS"
 FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sB3xII")
+_HEADER = struct.Struct("<4sB3sII")
 
 
 def _encode(u, p):
@@ -38,7 +38,7 @@ def _encode(u, p):
     p = np.ascontiguousarray(np.asarray(p, dtype="<f8"))
     if u.ndim != 1 or p.ndim != 1:
         raise ParseError("solution arrays must be one dimensional")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, u.size, p.size)
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, bytes(3), u.size, p.size)
     return header + u.tobytes() + p.tobytes()
 
 
@@ -60,9 +60,11 @@ def load_solution(path):
     if len(blob) < _HEADER.size:
         raise ParseError(f"{path}: truncated header "
                          f"({len(blob)} bytes, need {_HEADER.size})")
-    magic, version, nu, npr = _HEADER.unpack_from(blob)
+    magic, version, padding, nu, npr = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise ParseError(f"{path}: bad magic {magic!r}")
+    if padding != bytes(3):
+        raise ParseError(f"{path}: nonzero header padding {padding!r}")
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"{path}: format version {version}, "
                               f"this build reads version {FORMAT_VERSION}")
@@ -157,7 +159,7 @@ def store_run(root, kind, u, p, diagnostics=None):
     snapshot = os.path.join(runs_dir, f"{run_id}.bin")
     registry_path = os.path.join(str(root), "registry.ndjson")
 
-    _, _, nu, npr = _HEADER.unpack_from(payload)
+    nu, npr = _HEADER.unpack_from(payload)[3:]
     entry = RunRegistryEntry(run_id=run_id, path=snapshot, kind=str(kind),
                              n_velocity=int(nu), n_pressure=int(npr))
 

@@ -149,7 +149,7 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False):
     fe = fem.build_taylor_hood(mesh)
     plan = fe.slip_plan()
     K = plan.reduce(forms.assemble_velocity_h1(fe))
-    B = (forms.assemble_divergence(fe) @ plan.rotation).tocsr()[:, plan.free]
+    B = forms.assemble_divergence(fe) @ plan.basis
     Mp = forms.assemble_pressure_mass(fe)
     n_p, n_vel = B.shape
     floor = _zero_floor(n_p)
@@ -210,8 +210,7 @@ def beta_inequality_checks(mesh):
         raise InvalidArgument("rotation-moment inequalities are disk statements")
     fe = fem.build_taylor_hood(mesh)
     plan = fe.slip_plan()
-    T = plan.rotation
-    f = plan.free
+    P = plan.basis
     A_half = 0.5 * plan.reduce(forms.assemble_viscous(fe))
     # The default rule integrates the P2 mass exactly, so one assembly
     # serves the L2 norm and the volume moment.
@@ -221,8 +220,8 @@ def beta_inequality_checks(mesh):
     floor = _zero_floor(n)
 
     beta_coeffs = fem.interpolate(fe, rigid_rotation().value)
-    g_vol = (T.T @ (mass @ beta_coeffs))[f]
-    g_bnd = (T.T @ forms.boundary_rotation_functional(fe))[f]
+    g_vol = P.T @ (mass @ beta_coeffs)
+    g_bnd = P.T @ forms.boundary_rotation_functional(fe)
 
     # One factorization of the shifted operator serves both functionals.
     lu = symmetric_lu((A_half - SIGMA * M_l2).tocsc())

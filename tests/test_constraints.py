@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slipstokes import (ProblemData, boundary_frames, build_constraint_plan,
                         build_dirichlet_plan, build_taylor_hood, interpolate,
@@ -25,23 +27,21 @@ class TestPlanGeometry:
         # 4n vertex normals, 4 corner tangentials, 4n midpoint normals.
         for n in (2, 3, 5):
             fe, frames, plan = setup(make_unit_square(n))
-            assert len(plan.eliminated) == 8 * n + 4
-            assert len(plan.free) + len(plan.eliminated) == plan.n_velocity
+            assert plan.basis.shape[0] == fe.num_velocity_dofs
+            assert fe.num_velocity_dofs - plan.basis.shape[1] == 8 * n + 4
 
     def test_rotation_is_orthogonal(self):
         for mesh in (make_unit_square(3), make_disk(2)):
             fe, frames, plan = setup(mesh)
-            T = plan.rotation
-            d = (T.T @ T - sparse.identity(plan.n_velocity)).tocoo()
+            P = plan.basis
+            d = (P.T @ P - sparse.identity(P.shape[1])).tocoo()
             assert d.nnz == 0 or float(np.abs(d.data).max()) < 1e-14
 
     def test_impermeability_after_reduction(self):
         rng = np.random.default_rng(7)
         for mesh in (make_unit_square(4), make_disk(2)):
             fe, frames, plan = setup(mesh)
-            z = np.zeros(plan.n_velocity)
-            z[plan.free] = rng.standard_normal(len(plan.free))
-            u = plan.rotation @ z
+            u = plan.basis @ rng.standard_normal(plan.basis.shape[1])
             n = fe.num_velocity_nodes
             for row, node in enumerate(frames.vertex_ids):
                 un = (u[node] * frames.normals[row, 0]
@@ -94,7 +94,7 @@ class TestPlanSharing:
         a = build_constraint_plan(fe, ProblemData(alpha=1.0))
         b = build_constraint_plan(fe, ProblemData(alpha=2.0))
         assert a is b
-        for name in ("rotation", "eliminated", "free", "gauge"):
+        for name in ("basis", "gauge"):
             assert getattr(a, name) is getattr(b, name)
 
     def test_disk_guard_is_the_only_data_dependent_part(self):
@@ -109,12 +109,12 @@ class TestPlanSharing:
     def test_shared_arrays_are_read_only(self):
         fe = build_taylor_hood(make_disk(1))
         plan = build_constraint_plan(fe, ProblemData(alpha=0.0))
-        for array in (plan.rotation.data, plan.rotation.indices,
-                      plan.eliminated, plan.free, plan.gauge, plan.guard):
+        for array in (plan.basis.data, plan.basis.indices,
+                      plan.basis.indptr, plan.gauge, plan.guard):
             with pytest.raises(ValueError):
                 array[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.free = None
+            plan.basis = None
 
     def test_one_rotation_build_per_live_system(self, monkeypatch):
         calls = []
@@ -158,11 +158,13 @@ class TestDirichletPlan:
         n = fe.num_velocity_nodes
         bnodes = set(mesh.boundary_edges.ravel().tolist())
         bnodes |= set(fe.boundary_mid_nodes.tolist())
-        clamped = set(plan.eliminated.tolist())
-        for node in bnodes:
-            assert node in clamped and node + n in clamped
-        free = set(plan.free.tolist())
-        assert not (free & clamped)
+        clamped = sorted(bnodes | {node + n for node in bnodes})
+        per_row = np.diff(plan.basis.indptr)
+        assert not per_row[clamped].any()
+        # Every other dof keeps its own unit column.
+        kept = np.setdiff1d(np.arange(2 * n), clamped)
+        assert plan.basis.shape[1] == len(kept)
+        assert (plan.basis[kept] != sparse.identity(len(kept))).nnz == 0
 
 
 class TestApplyPlan:
@@ -173,7 +175,7 @@ class TestApplyPlan:
         B = forms.assemble_divergence(fe)
         ell = np.zeros(fe.num_velocity_dofs)
         sys = apply_plan(plan, A, B, ell)
-        dim = len(plan.free) + plan.n_pressure + 2   # gauge + guard rows
+        dim = plan.basis.shape[1] + len(plan.gauge) + 2   # gauge + guard rows
         assert sys.matrix.shape == (dim, dim)
         assert sys.rhs.shape == (dim,)
         assert plan.labels == ("pressure_gauge", "kernel_guard")
@@ -184,29 +186,130 @@ class TestApplyPlan:
         mesh = make_disk(1)
         fe, frames, plan = setup(mesh, alpha=0.0)
         rng = np.random.default_rng(3)
-        nf = len(plan.free)
-        x = rng.standard_normal(nf + plan.n_pressure + 2)
+        P = plan.basis
+        nf, n_p = P.shape[1], len(plan.gauge)
+        x = rng.standard_normal(nf + n_p + 2)
         u, p, mult = plan.reconstruct(x)
-        assert u.shape == (plan.n_velocity,)
-        assert np.allclose(p, x[nf:nf + plan.n_pressure])
+        assert u.shape == (fe.num_velocity_dofs,)
+        assert np.allclose(p, x[nf:nf + n_p])
         assert set(mult) == {"pressure_gauge", "kernel_guard"}
-        z = plan.rotation.T @ u
-        assert np.allclose(z[plan.free], x[:nf])
-        assert np.abs(z[plan.eliminated]).max() < 1e-14
+        assert np.allclose(P.T @ u, x[:nf])
+        # u already lies in the constrained space: projecting keeps it.
+        assert np.abs(u - P @ (P.T @ u)).max() < 1e-14
 
     def test_identity_plan_is_plain_bordering(self):
         mesh = make_unit_square(2)
         fe = build_taylor_hood(mesh)
         n = fe.num_velocity_dofs
-        plan = ConstraintPlan(
-            n_velocity=n, n_pressure=fe.num_pressure_dofs,
-            rotation=sparse.identity(n, format="csr"),
-            eliminated=np.array([], dtype=np.int64),
-            free=np.arange(n, dtype=np.int64))
+        gauge = forms.pressure_integral_vector(fe)
+        plan = ConstraintPlan(basis=sparse.identity(n, format="csr"),
+                              gauge=gauge)
         A = forms.assemble_velocity_h1(fe)
         B = forms.assemble_divergence(fe)
         ell = np.ones(fe.num_velocity_dofs)
         sys = apply_plan(plan, A, B, ell)
-        ref = sparse.bmat([[A, B.T], [B, None]], format="csr")
+        m = sparse.csr_matrix(gauge[None, :])
+        ref = sparse.bmat([[A, B.T, None], [B, None, m.T], [None, m, None]],
+                          format="csr")
         assert (sys.matrix != ref).nnz == 0
         assert np.array_equal(sys.rhs[:fe.num_velocity_dofs], ell)
+
+
+def _bits(matrix):
+    """A CSR matrix's arrays, with the values as their bit patterns."""
+    m = sparse.csr_matrix(matrix)
+    return m.indptr.tolist(), m.indices.tolist(), m.data.view(np.uint64).tolist()
+
+
+def _reference_reduction(fe, kind):
+    """The rotation ``T`` and the kept coordinates ``free`` of a plan, by the
+    elimination rule: normal coordinates (both at corners) for slip plans,
+    every boundary coordinate for the clamped one."""
+    n = fe.num_velocity_nodes
+    if kind == "clamped":
+        nodes = np.concatenate([fe.mesh.boundary_edges.ravel(),
+                                fe.boundary_mid_nodes])
+        T, eliminated = sparse.identity(2 * n, format="csr"), [nodes, nodes + n]
+    else:
+        frames = boundary_frames(fe.mesh)
+        T = constraints._rotation_matrix(fe, frames)
+        eliminated = [frames.vertex_ids, n + frames.vertex_ids[frames.corner],
+                      fe.boundary_mid_nodes]
+    return T, np.setdiff1d(np.arange(2 * n), np.concatenate(eliminated))
+
+
+def _plan(fe, kind, alpha=1.0):
+    if kind == "clamped":
+        return build_dirichlet_plan(fe)
+    plan = build_constraint_plan(fe, ProblemData(alpha=alpha))
+    if kind == "guarded":
+        plan = dataclasses.replace(
+            plan, guard=forms.boundary_rotation_functional(fe),
+            labels=("pressure_gauge", "kernel_guard"))
+    return plan
+
+
+class TestBasisIsTheRotatedReduction:
+    """``P = T[:, free]`` reproduces rotate-then-slice bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["slip", "clamped", "guarded"])
+    @pytest.mark.parametrize("mesh", [make_unit_square(5), make_disk(2)],
+                             ids=["square5", "disk2"])
+    def test_basis_and_reductions(self, mesh, kind):
+        fe = build_taylor_hood(mesh)
+        plan = _plan(fe, kind)
+        T, f = _reference_reduction(fe, kind)
+        assert _bits(plan.basis) == _bits(T[:, f])
+        w = np.random.default_rng(11).standard_normal(fe.num_velocity_dofs)
+        for A in (forms.assemble_viscous(fe) + forms.assemble_friction(fe, 1.0),
+                  forms.assemble_velocity_h1(fe),
+                  forms.assemble_convection_skew(fe, w)):
+            assert _bits(plan.reduce(A)) == _bits((T.T @ A @ T).tocsr()[f][:, f])
+        B = forms.assemble_divergence(fe)
+        ell = forms.assemble_load(fe, stokes_mms(alpha=1.0)["data"])
+        assert _bits(B @ plan.basis) == _bits((B @ T).tocsr()[:, f])
+        assert np.array_equal((plan.basis.T @ ell).view(np.uint64),
+                              (T.T @ ell)[f].view(np.uint64))
+
+
+def _alphas():
+    scalar = st.floats(0.0, 1e12)
+    return st.one_of(
+        scalar,
+        scalar.map(lambda c: lambda p: c * (1.0 + p[:, 0] ** 2)),
+        st.lists(scalar, min_size=4, max_size=4).map(
+            lambda v: dict(enumerate(v, start=1))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=st.one_of(st.integers(2, 10).map(make_unit_square),
+                      st.integers(0, 3).map(make_disk)),
+       kind=st.sampled_from(["slip", "clamped", "guarded"]),
+       alpha=_alphas(), seed=st.integers(0, 2**32 - 1))
+def test_constrained_space_properties(mesh, kind, alpha, seed):
+    fe = build_taylor_hood(mesh)
+    plan = _plan(fe, kind, alpha)     # the disk reads marker 1 of a dict
+    P = plan.basis
+    rng = np.random.default_rng(seed)
+
+    d = (P.T @ P - sparse.identity(P.shape[1])).tocoo()
+    assert d.nnz == 0 or float(np.abs(d.data).max()) <= 1e-14
+
+    # Impermeable at every boundary vertex and midpoint.
+    u = P @ rng.standard_normal(P.shape[1])
+    frames, n = boundary_frames(mesh), fe.num_velocity_nodes
+    nodes = np.concatenate([frames.vertex_ids, fe.boundary_mid_nodes])
+    normals = np.vstack([frames.normals, mesh.boundary_normals])
+    flux = u[nodes] * normals[:, 0] + u[n + nodes] * normals[:, 1]
+    assert np.abs(flux).max() <= 1e-14 * max(1.0, np.abs(u).max())
+
+    A = forms.assemble_viscous(fe) + forms.assemble_friction(fe, alpha)
+    matrix = apply_plan(plan, A, forms.assemble_divergence(fe),
+                        np.zeros(fe.num_velocity_dofs)).matrix
+    asym = abs(matrix - matrix.T).max()
+    assert asym <= 1e-13 * abs(matrix).max()
+
+    C = forms.assemble_convection_skew(fe, rng.standard_normal(2 * n))
+    assert (C + C.T).count_nonzero() == 0
+    R = plan.reduce(C)
+    assert abs(R + R.T).max() <= 1e-14 * abs(C).max()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -316,7 +318,28 @@ def _write_raw(path, parts):
     path.write_text("\n".join(lines) + "\n")
 
 
+SHAPE_BREAKS = {
+    "vertices": lambda a: a.ravel(),
+    "triangles": lambda a: np.hstack([a, a[:, :1]]),
+    "boundary_edges": lambda a: np.hstack([a, a[:, :1]]),
+    "boundary_markers": lambda a: a[:-1],
+    "boundary_normals": lambda a: a[:-1],
+    "boundary_kappa": lambda a: a[:-1],
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("name", list(SHAPE_BREAKS))
+    def test_wrong_shape_refused(self, name):
+        # Checked before any array is indexed, so no IndexError or numpy
+        # broadcasting error escapes, and a short array is never accepted.
+        parts = _square_parts()
+        parts[name] = SHAPE_BREAKS[name](parts[name])
+        shape = re.escape(str(parts[name].shape))
+        with pytest.raises(InvalidArgument,
+                           match=rf"^{name} has shape {shape}, expected"):
+            TriMesh(**parts)
+
     @pytest.mark.parametrize("breaks, message", REFUSALS,
                              ids=[b.__name__[1:] for b, _ in REFUSALS])
     def test_refusal_messages(self, tmp_path, breaks, message):

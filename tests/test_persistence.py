@@ -78,6 +78,16 @@ class TestSnapshots:
         with pytest.raises(VersionMismatch):
             load_solution(path)
 
+    @pytest.mark.parametrize("offset", [5, 6, 7])
+    def test_nonzero_padding(self, tmp_path, offset):
+        path = tmp_path / "sol.bin"
+        write_solution(path, *sample_arrays(nu=2, npr=1))
+        blob = bytearray(path.read_bytes())
+        blob[offset] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="padding"):
+            load_solution(path)
+
     def test_truncation(self, tmp_path):
         path = tmp_path / "sol.bin"
         write_solution(path, *sample_arrays(nu=4, npr=2))

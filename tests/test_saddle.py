@@ -258,8 +258,8 @@ def test_only_the_pressure_gauge_trades_pivot_rows(mesh, plan, alpha):
                                else make_disk(level), plan, alpha)
     lu = symmetric_lu(matrix)
     swapped = np.flatnonzero(lu.perm_r != lu.perm_c)
-    n_velocity = len(plan.free)
-    gauge = n_velocity + plan.n_pressure
+    n_velocity = plan.basis.shape[1]
+    gauge = n_velocity + len(plan.gauge)
     assert plan.labels[0] == "pressure_gauge"
     if swapped.size:
         other = int(swapped[swapped != gauge][0])
