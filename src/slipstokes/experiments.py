@@ -78,8 +78,10 @@ class ExperimentConfig:
         values = np.array([self.alpha, *self.alpha_schedule], dtype=float)
         if not (np.isfinite(values) & (values >= 0.0)).all():
             raise InvalidArgument("friction values must be finite and nonnegative")
-        if self.amplitude is not None and not np.isfinite(self.amplitude):
-            raise InvalidArgument(f"amplitude must be finite, got {self.amplitude}")
+        # Beyond these magnitudes errors and energies underflow or overflow.
+        if self.amplitude and not 1e-100 <= abs(self.amplitude) <= 1e100:
+            raise InvalidArgument("amplitude must be 0 or finite in magnitude "
+                                  f"[1e-100, 1e100], got {self.amplitude}")
         return self
 
 
@@ -322,7 +324,7 @@ def run_compat_disk(cfg):
     def cells(mesh):
         fe = fem.build_taylor_hood(mesh)   # held: both calls share it
         defect = check_compatibility(mesh, data)
-        if abs(defect) > COMPAT_TOL:
+        if not abs(defect) <= COMPAT_TOL:
             raise IncompatibleData(
                 f"compatibility defect {defect:.3e} exceeds {COMPAT_TOL:.1e}")
         sol = solve_stokes(mesh, data)
@@ -342,12 +344,16 @@ def run_compat_disk(cfg):
 
 
 def run_spectra_suite(cfg):
+    coarser = [None, None, None]    # each constant's estimate: the level below
+
     def cells(mesh):
         fe = fem.build_taylor_hood(mesh)   # held: the three calls share it
-        korn0 = korn_quotient_min(mesh, alpha=0.0)
-        korn1 = korn_quotient_min(mesh, alpha=cfg.alpha if cfg.alpha > 0 else 1.0)
-        gamma = infsup_constant(mesh)
-        return korn0.constant, korn1.constant, gamma.constant, korn0.n_dofs
+        korn0 = korn_quotient_min(mesh, alpha=0.0, estimate=coarser[0])
+        korn1 = korn_quotient_min(mesh, alpha=cfg.alpha if cfg.alpha > 0 else 1.0,
+                                  estimate=coarser[1])
+        gamma = infsup_constant(mesh, estimate=coarser[2])
+        coarser[:] = korn0.constant, korn1.constant, gamma.constant
+        return (*coarser, korn0.n_dofs)
 
     rows, wall = _ladder(cfg, cells)
     return _report(cfg, ("level", "h", "korn_no_friction", "korn_with_friction",

@@ -208,8 +208,8 @@ def gated_solve(system, solve):
     ------
     NumericalError
         On a non-finite or mismatched right-hand side, a non-finite
-        solution, or a residual above ``RESIDUAL_RTOL`` relative to the
-        right-hand side.
+        solution, or a residual relative to the right-hand side that is
+        not at most ``RESIDUAL_RTOL`` (NaN included).
     """
     b = np.asarray(system.rhs, dtype=float)
     if not np.isfinite(b).all():
@@ -222,7 +222,7 @@ def gated_solve(system, solve):
         raise NumericalError("non-finite entries in solution")
     if b.any():
         residual = relative_residual(system, x)
-        if residual > RESIDUAL_RTOL:
+        if not residual <= RESIDUAL_RTOL:
             raise NumericalError(
                 f"solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e}")
     return x

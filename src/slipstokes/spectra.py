@@ -2,8 +2,8 @@
 
 All eigenproblems are posed on the impermeability-constrained spaces.
 Each constant is one shift-invert Lanczos run (ARPACK through ``eigsh``)
-about ``SIGMA``, with a deterministic start vector, on one factorization
-by ``saddle.symmetric_lu`` (SuperLU's symmetric mode: minimum-degree
+with a deterministic start vector, on one factorization by
+``saddle.symmetric_lu`` (SuperLU's symmetric mode: minimum-degree
 ordering, static diagonal pivots), handed to ``eigsh`` as ``OPinv`` so
 that ARPACK never factors on its own.  Each run stops at a relative
 Ritz residual of ``sqrt(eps)``, where the Ritz value is already fixed to
@@ -14,6 +14,10 @@ share it, their rank-one terms entering by Sherman-Morrison.  The
 inf-sup constant factors the quasi-definite ``[[K, B^T], [B, SIGMA M_p]]``,
 stable in any symmetric order (Vanderbei, SIAM J. Optim. 5, 1995), whose
 pressure block inverts the shifted Schur complement.
+
+Given an estimate (in a study, the coarser level's value), Korn and
+inf-sup shift just below it instead, where Lanczos needs far fewer solves,
+once the shifted factor's pivot signs certify the shift (``_shifted_lu``).
 
 Eigenvalues below a rank-style floor (machine epsilon times problem size)
 are reported as exactly zero, which is how the disk kernel shows up: the
@@ -42,6 +46,10 @@ FLOOR_FACTOR = 100.0
 SIGMA = -0.1
 # Relative Ritz residual at which each Lanczos run stops (``_smallest_eig``).
 LANCZOS_RTOL = np.sqrt(np.finfo(float).eps)
+# A near shift sits at this fraction of the caller's estimate of the target.
+NEAR_FRACTION = 0.99
+# Krylov space of the near-shifted and rotation-moment runs.
+NCV = 10
 
 
 @dataclass
@@ -73,43 +81,77 @@ def _snap(lam, floor):
     return 0.0 if lam < floor else float(lam)
 
 
-def _smallest_eig(M, solve):
-    """Smallest eigenvalue of a symmetric pencil (A, M), M positive definite.
+def _smallest_eig(M, solve, shift, ncv):
+    """Smallest eigenvalue of a symmetric pencil (A, M), M positive definite,
+    and the number of solves Lanczos spent on it.
 
-    Shift-invert Lanczos about ``SIGMA < 0`` at every size, with ``solve``
-    applying ``(A - SIGMA * M)^{-1}``, so ``A`` itself is never needed.
-    The shifted operator is positive definite even when ``A`` is singular,
-    and the smallest eigenvalue is the one nearest the shift.  The start
-    vector comes from a fixed seed, so numpy's global random state is
-    untouched.
+    Shift-invert Lanczos about ``shift`` on ``ncv`` Krylov vectors
+    (ARPACK's 20 when None), with ``solve`` applying
+    ``(A - shift * M)^{-1}``, so ``A`` itself is never needed.  The
+    eigenvalue nearest the shift is the smallest because none lies below
+    it: ``A`` is semidefinite and ``SIGMA < 0``, or ``_shifted_lu`` counted.
+    The start vector comes from a fixed seed, so numpy's global random
+    state is untouched.
 
     ARPACK stops once the Ritz residual ``r`` is below ``LANCZOS_RTOL``
     times the Ritz value, not at its default of machine epsilon.  A Ritz
     value of a symmetric pencil is within ``|r|`` of the spectrum and
     within ``|r|^2 / gap`` of its eigenvalue (Parlett, *The Symmetric
-    Eigenvalue Problem*, ch. 11), so at ``sqrt(eps)`` it is fixed to
-    rounding once the relative gap exceeds about 1e-2; later restarts
-    only polish an eigenvector no caller reads.  A tighter cluster is
-    resolved only to ``LANCZOS_RTOL``: disk 5's inf-sup constant moves
-    by 4.6e-9 relative against a run to ``tol=0``.
+    Eigenvalue Problem*, ch. 11), both scaled by the distance to the
+    shift.  So about ``SIGMA`` a cluster tighter than ``LANCZOS_RTOL`` is
+    resolved only to that tolerance (disk 5's inf-sup constant by 4.6e-9
+    relative), but to 1e-12 about a shift at 0.99 times the minimum.
     """
     n = M.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n)
-    inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    solves = []
+
+    def counted(x):
+        solves.append(x.shape)
+        return solve(x)
+
+    inv = spla.LinearOperator((n, n), matvec=counted, dtype=float)
     # In shift-invert mode eigsh reads only the shape of its first argument.
-    vals = spla.eigsh(inv, k=1, M=M, sigma=SIGMA, which="LM", v0=v0,
-                      OPinv=inv, tol=LANCZOS_RTOL, return_eigenvectors=False)
-    return float(vals[0])
+    vals = spla.eigsh(inv, k=1, M=M, sigma=shift, which="LM", v0=v0, OPinv=inv,
+                      ncv=ncv and min(ncv, n), tol=LANCZOS_RTOL,
+                      return_eigenvectors=False)
+    return float(vals[0]), len(solves)
 
 
-def korn_quotient_min(mesh, alpha=0.0):
+def _shifted_lu(matrix, target, count_below, known):
+    """``(lu, shift, below)`` of ``matrix(shift)``: the shift is
+    ``NEAR_FRACTION * target`` if ``target > 0`` and ``below``, the
+    eigenvalues under it, is ``known``; else ``SIGMA``, with ``below`` None.
+
+    With static pivots (``perm_r == perm_c``) a symmetric matrix factors
+    as ``L D L^T`` to rounding, so the signs of ``U``'s diagonal are its
+    inertia (Sylvester's law).  Spectrum slicing: Ericsson and Ruhe, Math.
+    Comp. 35 (1980); Grimes, Lewis and Simon, SIMAX 15 (1994).
+    """
+    if target is not None and target > 0:
+        shift = NEAR_FRACTION * target
+        lu = symmetric_lu(matrix(shift))
+        if (lu.perm_r == lu.perm_c).all():
+            below = count_below(lu.U.diagonal())
+            if below == known:
+                return lu, shift, below
+    return symmetric_lu(matrix(SIGMA)), SIGMA, None
+
+
+def _detail(shift, below, solves, **extra):
+    return {**extra, "shift": shift, "below_shift": below,
+            "lanczos_solves": solves}
+
+
+def korn_quotient_min(mesh, alpha=0.0, estimate=None):
     """Minimum of the coercivity quotient over the constrained space.
 
     quotient(u) = (2 ||D(u)||^2 + int_Gamma alpha |u.t|^2) / ||u||_{H1}^2
 
     Positive uniformly on the square; collapses to zero on the disk without
     friction, where the rigid rotation is an exact discrete kernel vector.
-    Values below the rank floor are reported as exactly 0.
+    Values below the rank floor are reported as exactly 0.  A positive
+    ``estimate`` shifts just below it if no pivot is negative.
     """
     fe = fem.build_taylor_hood(mesh)
     plan = fe.slip_plan()
@@ -117,24 +159,30 @@ def korn_quotient_min(mesh, alpha=0.0):
                         + forms.assemble_friction(fe, alpha))
     M_red = plan.reduce(forms.assemble_velocity_h1(fe))
     n = A_red.shape[0]
-    lu = symmetric_lu((A_red - SIGMA * M_red).tocsc())
-    lam = _smallest_eig(M_red, lu.solve)
+    lu, shift, below = _shifted_lu(lambda s: (A_red - s * M_red).tocsc(),
+                                   estimate, lambda d: int((d < 0).sum()), 0)
+    lam, solves = _smallest_eig(M_red, lu.solve, shift,
+                                None if below is None else NCV)
     floor = _zero_floor(n)
     return SpectralReport(constant=_snap(lam, floor), mesh_size=mesh.mesh_size(),
                           n_dofs=n, alpha_descriptor=_alpha_descriptor(alpha),
-                          floor=floor, detail={"raw_eigenvalue": float(lam)})
+                          floor=floor, detail=_detail(
+                              shift, below, solves, raw_eigenvalue=lam))
 
 
-def infsup_constant(mesh, alpha=0.0, cross_check=False):
+def infsup_constant(mesh, alpha=0.0, cross_check=False, estimate=None):
     """Discrete inf-sup constant of the divergence/velocity-H1 pairing.
 
     gamma = min over mean-free pressures of
             sqrt( q^T B K^{-1} B^T q / q^T M_p q )
 
     with ``K`` the constrained H1 Gram matrix.  ``S = B K^{-1} B^T`` is
-    never formed: with ``Q = [[K, B^T], [B, SIGMA * M_p]]``, the pressure
-    block of ``Q^{-1}`` is ``-(S - SIGMA * M_p)^{-1}``.  The diagonal of
-    ``Q`` is nonzero, so nothing is steered.  Each solve is projected
+    never formed: with ``Q(s) = [[K, B^T], [B, s M_p]]``, the pressure
+    block of ``Q(s)^{-1}`` is ``-(S - s M_p)^{-1}``.  The diagonal of
+    ``Q`` is nonzero, so nothing is steered.  ``s`` is ``SIGMA``, or just
+    below ``estimate^2`` if ``Q(s)`` has ``n_vel + 1`` positive pivots:
+    ``K``'s, and the constant pressure's in ``s M_p - S`` (Haynsworth,
+    Linear Algebra Appl. 1, 1968).  Each solve is projected
     M_p-orthogonally off the constant pressure, the eigenvalue-0 mode.
     That deflation is exact only if ``B^T 1 = 0``: a mesh with ``|B^T 1|``
     above the rank floor times ``max |B|`` (a curvature-tagged rim with
@@ -158,7 +206,10 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False):
     if leak > floor * abs(B).max():
         raise InvalidArgument("constant pressure outside ker B^T: "
                               f"|B^T 1| = {leak:.2e}")
-    lu = symmetric_lu(sparse.bmat([[K, B.T], [B, SIGMA * Mp]], format="csc"))
+    lu, shift, below = _shifted_lu(
+        lambda s: sparse.bmat([[K, B.T], [B, s * Mp]], format="csc"),
+        estimate ** 2 if estimate is not None and estimate > 0 else None,
+        lambda d: int((d > 0).sum()) - n_vel, 1)
     mass_one = Mp @ ones
     mass_one /= mass_one.sum()
 
@@ -166,8 +217,10 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False):
         y = -lu.solve(np.concatenate([np.zeros(n_vel), q]))[n_vel:]
         return y - mass_one @ y
 
-    lam = _snap(_smallest_eig(Mp, solve), floor)
-    detail = {"zero_modes": 1 + int(lam == 0.0)}
+    lam, solves = _smallest_eig(Mp, solve, shift,
+                                None if below is None else NCV)
+    lam = _snap(lam, floor)
+    detail = _detail(shift, below, solves, zero_modes=1 + int(lam == 0.0))
     if cross_check:
         S = B @ scipy.linalg.solve(K.toarray(), B.T.toarray(), assume_a="pos")
         vals = scipy.linalg.eigh(S, Mp.toarray(), eigvals_only=True)
@@ -191,7 +244,7 @@ def _rank_one_smallest(g, M, lu):
         y = lu.solve(x)
         return y - w * (g @ y) / denom
 
-    return _smallest_eig(M, op)
+    return _smallest_eig(M, op, SIGMA, NCV)
 
 
 def beta_inequality_checks(mesh):
@@ -227,10 +280,11 @@ def beta_inequality_checks(mesh):
     lu = symmetric_lu((A_half - SIGMA * M_l2).tocsc())
     reports = {}
     for name, g in (("volume", g_vol), ("boundary", g_bnd)):
-        constant = _snap(_rank_one_smallest(g, M_l2, lu), floor)
+        lam, solves = _rank_one_smallest(g, M_l2, lu)
+        constant = _snap(lam, floor)
         reports[name] = SpectralReport(
             constant=constant, mesh_size=mesh.mesh_size(), n_dofs=n,
-            alpha_descriptor="0", floor=floor,
-            detail={"optimal_inequality_constant":
-                    1.0 / constant if constant else np.inf})
+            alpha_descriptor="0", floor=floor, detail=_detail(
+                SIGMA, None, solves, optimal_inequality_constant=(
+                    1.0 / constant if constant else np.inf)))
     return reports

@@ -63,9 +63,10 @@ def energy_defect(u, A_total, ell):
 
 def energy_gate(u, A_total, ell):
     """``(lhs, rhs, defect)`` of :func:`energy_defect`; ``NumericalError``
-    when the defect exceeds ``ENERGY_RTOL`` times its scale."""
+    unless the defect is at most ``ENERGY_RTOL`` times its scale (a NaN
+    defect is not)."""
     energy_lhs, energy_rhs, defect, scale = energy_defect(u, A_total, ell)
-    if defect > ENERGY_RTOL * scale:
+    if not defect <= ENERGY_RTOL * scale:
         raise NumericalError(
             f"energy identity violated: |{energy_lhs:.6e} - {energy_rhs:.6e}|")
     return energy_lhs, energy_rhs, defect
@@ -130,7 +131,7 @@ def _friction_solves(fe, data, alphas, plan):
             # The guard multiplier would silently absorb an incompatible
             # load, so reject data whose rotation pairing is not zero.
             defect, scale = _rotation_pairing(fe, ell)
-            if abs(defect) > COMPAT_RTOL * scale:
+            if not abs(defect) <= COMPAT_RTOL * scale:
                 raise IncompatibleData(
                     f"rotation pairing of the data is {defect:.3e} "
                     f"(relative {abs(defect) / scale:.3e}); the frictionless "

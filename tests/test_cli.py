@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from slipstokes import cli, experiments
@@ -107,6 +108,30 @@ class TestSolveCommands:
             code, _, err = run(capsys, *argv, "--amplitude", amplitude)
             assert code == 2
             assert "config error" in err and "finite" in err
+
+    def test_overflowing_residual_exits_1_and_stores_nothing(self, capsys,
+                                                             tmp_path):
+        # The right-hand side's norm overflows, so the relative residual is
+        # inf / inf = NaN: the residual gate refuses it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(capsys, "solve-stokes", "--level", "2", "--data",
+                               "mms", "--amplitude", "1e200",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert "solver error" in err and "nan" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("amplitude", ["1e-300", "1e101"])
+    def test_amplitude_out_of_range_exits_2_before_solving(
+            self, capsys, tmp_path, monkeypatch, amplitude):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(experiments, "solve_stokes", refuse)
+        code, _, err = run(capsys, "experiment", "mms", "--levels", "2,3,4",
+                           "--amplitude", amplitude, "--out", str(tmp_path))
+        assert code == 2
+        assert "config error" in err and "amplitude" in err
 
     def test_ns_solve(self, capsys, tmp_path):
         code, out, _ = run(capsys, "solve-ns", "--level", "4",

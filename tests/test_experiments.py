@@ -85,6 +85,15 @@ class TestConfigs:
             ExperimentConfig(kind="alpha_to_zero", alpha=alpha,
                              alpha_schedule=schedule).validate()
 
+    @pytest.mark.parametrize("amplitude", [1e-300, -1e-101, 1e101, -1e200])
+    def test_amplitude_out_of_range_rejected(self, amplitude):
+        with pytest.raises(InvalidArgument, match="amplitude"):
+            ExperimentConfig(kind="mms", amplitude=amplitude).validate()
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-100, -1.0, 1e100])
+    def test_amplitude_in_range_accepted(self, amplitude):
+        ExperimentConfig(kind="mms", amplitude=amplitude).validate()
+
     def test_parse_config_round_trip(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("""

@@ -115,6 +115,15 @@ class TestFailureModes:
         with pytest.raises(NumericalError):
             factor_solve(sys)
 
+    def test_nan_residual_refused(self):
+        # Finite data and solution whose residual norms overflow: the
+        # relative residual is inf / inf = NaN, which no gate may admit.
+        sys = SaddleSystem(matrix=sparse.csr_matrix(np.eye(2)),
+                           rhs=np.full(2, 1e300))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="nan"):
+            saddle.gated_solve(sys, lambda b: 2.0 * b)
+
     def test_nearly_singular_under_every_scaling_refused(self):
         # Equilibrated condition estimate 2.5e-15, below the gate.
         K = np.array([[1.0, 1.0],

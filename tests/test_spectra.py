@@ -6,10 +6,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from slipstokes import (beta_inequality_checks, fem, forms, infsup_constant,
-                        korn_quotient_min, make_disk, make_unit_square, spectra)
+from slipstokes import (beta_inequality_checks, experiments, fem, forms,
+                        infsup_constant, korn_quotient_min, make_disk,
+                        make_unit_square, run_experiment, spectra)
 from slipstokes.constraints import build_constraint_plan
 from slipstokes.errors import InvalidArgument
+from slipstokes.experiments import ExperimentConfig
 from slipstokes.fields import ProblemData
 from slipstokes.mesh import TriMesh
 from slipstokes.saddle import symmetric_lu
@@ -75,7 +77,8 @@ class TestKorn:
         assert rep.n_dofs > 0
         assert rep.mesh_size > 0.0
         assert rep.alpha_descriptor == "2"
-        assert set(rep.detail) == {"raw_eigenvalue"}
+        assert set(rep.detail) == {"raw_eigenvalue", "shift", "below_shift",
+                                   "lanczos_solves"}
 
 
 class TestInfSup:
@@ -124,8 +127,8 @@ class TestInfSup:
             infsup_constant(mesh)
 
     def test_minimum_below_floor_snaps_to_zero(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_smallest_eig",
-                            lambda M, solve: 0.5 * spectra._zero_floor(M.shape[0]))
+        monkeypatch.setattr(spectra, "_smallest_eig", lambda M, solve, *shift: (
+            0.5 * spectra._zero_floor(M.shape[0]), 0))
         rep = infsup_constant(make_unit_square(2))
         assert rep.constant == 0.0
         assert rep.detail["zero_modes"] == 2
@@ -295,3 +298,142 @@ class TestStoppingRule:
         monkeypatch.setattr(spectra, "symmetric_lu", _counting_solves(solves))
         constant(mesh)
         assert 0 < len(solves) <= budget
+
+
+# Eigenvalues below a near shift: none for Korn, the constant pressure for
+# inf-sup.  The frictionless disk adds its rigid rotation to any positive
+# shift.
+KNOWN = {"korn_no_friction": 0, "korn_with_friction": 0, "infsup": 1}
+LADDERS = {"square": (2, 4, 8, 16, 32, 64), "disk": (0, 1, 2, 3, 4, 5)}
+
+
+def _recording_factors(monkeypatch):
+    """``perm_r``, ``perm_c`` and U's diagonal of each factor ``spectra`` makes."""
+    factors = []
+
+    def wrapper(mat):
+        lu = symmetric_lu(mat)
+        factors.append((lu.perm_r, lu.perm_c, lu.U.diagonal()))
+        return lu
+    monkeypatch.setattr(spectra, "symmetric_lu", wrapper)
+    return factors
+
+
+def _suite(domain, levels):
+    """Rows of ``spectra_suite`` and ``{level: {column: (report, factors)}}``."""
+    calls = []
+    cfg = ExperimentConfig(kind="spectra_suite", domain=domain, levels=levels,
+                           alpha=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        factors = _recording_factors(mp)
+
+        def recorded(constant):
+            def wrapper(*args, **kwargs):
+                start = len(factors)
+                rep = constant(*args, **kwargs)
+                calls.append((rep, factors[start:]))
+                return rep
+            return wrapper
+
+        mp.setattr(experiments, "korn_quotient_min", recorded(korn_quotient_min))
+        mp.setattr(experiments, "infsup_constant", recorded(infsup_constant))
+        rows = run_experiment(cfg).rows
+    return rows, {level: dict(zip(KNOWN, calls[3 * i:3 * i + 3]))
+                  for i, level in enumerate(levels)}
+
+
+@pytest.fixture(scope="module")
+def suites():
+    return {domain: _suite(domain, levels) for domain, levels in LADDERS.items()}
+
+
+def _count(column, factor, n_vel):
+    """Eigenvalues below the shift, read from the factor's inertia."""
+    perm_r, perm_c, pivots = factor
+    assert np.array_equal(perm_r, perm_c)        # static diagonal pivots
+    if column == "infsup":
+        return int((pivots > 0).sum()) - n_vel
+    return int((pivots < 0).sum())
+
+
+def _constant(mesh, column, estimate=None):
+    if column == "infsup":
+        return infsup_constant(mesh, estimate=estimate)
+    return korn_quotient_min(mesh, alpha=float(column == "korn_with_friction"),
+                             estimate=estimate)
+
+
+class TestSpectrumSlicing:
+    """Each suite level shifts just below the coarser level's constant, and
+    the inertia of the shifted factor certifies that nothing lies below."""
+
+    @pytest.mark.parametrize("domain,level", [
+        *(("square", n) for n in (4, 8, 16, 32)),
+        *(("disk", n) for n in range(6))])
+    def test_count_equals_known_modes(self, suites, monkeypatch, domain,
+                                      level):
+        mesh = _mesh(domain, level)
+        for column, known in KNOWN.items():
+            rep, factors = suites[domain][1][level][column]
+            if rep.detail["below_shift"] is None:
+                # Disk 0 opens its ladder at SIGMA: shift below its own
+                # constant.  The disk kernel (constant 0) stays at SIGMA;
+                # shift to 1e-3 to count its rotation.
+                factors = _recording_factors(monkeypatch)
+                rep = _constant(mesh, column, rep.constant or 1e-3)
+            kernel = rep.constant == 0.0
+            assert _count(column, factors[0], rep.n_dofs) == known + kernel
+            assert len(factors) == 1 + kernel     # the kernel refactors
+            assert rep.detail["below_shift"] == (None if kernel else known)
+            # Every sign is read far above rounding.
+            pivots = np.abs(factors[0][2])
+            assert pivots.min() >= 1e-13 * pivots.max(), column
+
+    @pytest.mark.parametrize("domain,first", [("square", 2), ("disk", 1)])
+    def test_constants_match_full_convergence(self, suites, monkeypatch,
+                                              domain, first):
+        # Squares 8-64 and disks 1-5, disk 5's inf-sup cluster included.
+        rows = {row[0]: row for row in suites[domain][0]}
+        monkeypatch.setattr(spectra, "LANCZOS_RTOL", 0.0)
+        levels = LADDERS[domain][first:]
+        cfg = ExperimentConfig(kind="spectra_suite", domain=domain,
+                               levels=levels, alpha=1.0)
+        for row in run_experiment(cfg).rows:
+            for stopped, value in zip(rows[row[0]][2:5], row[2:5]):
+                assert abs(stopped - value) <= 1e-12 * abs(value), row[0]
+
+    @pytest.mark.parametrize("column", list(KNOWN))
+    def test_high_estimate_falls_back_to_sigma(self, monkeypatch, column):
+        mesh = make_unit_square(8)
+        lone = _constant(mesh, column)
+        factors = _recording_factors(monkeypatch)
+        high = _constant(mesh, column, 2.0 * lone.constant)
+        assert len(factors) == 2
+        assert _count(column, factors[0], high.n_dofs) > KNOWN[column]
+        assert high.detail["shift"] == spectra.SIGMA
+        assert high.detail["below_shift"] is None
+        assert high.constant == lone.constant
+        assert high.detail == lone.detail
+
+    def test_solve_budget_of_the_benchmark_suites(self, monkeypatch):
+        # The two suites of the disk_kernel workload; every run at SIGMA
+        # with ARPACK's default Krylov space spends 870 solves.
+        solves = []
+        smallest = spectra._smallest_eig
+
+        def counting(*args):
+            value, count = smallest(*args)
+            solves.append(count)
+            return value, count
+        monkeypatch.setattr(spectra, "_smallest_eig", counting)
+        for domain, levels in (("disk", (1, 2, 3, 4)), ("square", (8, 16, 32))):
+            run_experiment(ExperimentConfig(kind="spectra_suite", domain=domain,
+                                            levels=levels, alpha=1.0))
+        assert len(solves) == 21
+        assert sum(solves) <= 460
+
+    def test_rotation_moments_at_sigma_on_a_small_space(self):
+        for rep in beta_inequality_checks(make_disk(3)).values():
+            assert rep.detail["shift"] == spectra.SIGMA
+            assert rep.detail["below_shift"] is None
+            assert 0 < rep.detail["lanczos_solves"] <= 12

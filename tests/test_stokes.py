@@ -16,7 +16,7 @@ from slipstokes import (ProblemData, apply_plan, assemble_divergence,
                         sweep_forcing)
 from slipstokes import saddle, stokes
 from slipstokes.errors import (IncompatibleData, InvalidArgument,
-                               SingularSystem)
+                               NumericalError, SingularSystem)
 from slipstokes.saddle import symmetric_lu
 from slipstokes.fem import velocity_error_h1, pressure_error_l2
 from slipstokes.fields import ClosedFormField
@@ -380,3 +380,9 @@ class TestBoundaryIdentity:
             lambda p: np.tile(np.eye(2), (np.asarray(p).shape[0], 1, 1)))
         with pytest.raises(InvalidArgument, match="tangent"):
             boundary_identity_defect(radial, make_disk(1))
+
+
+def test_energy_gate_refuses_nan():
+    # A NaN defect compares False against any bound; the gate must refuse it.
+    with pytest.raises(NumericalError, match="energy identity"):
+        stokes.energy_gate(np.array([np.nan]), np.eye(1), np.ones(1))
