@@ -26,9 +26,12 @@ def _scatter(local, rows, cols, shape):
 
     ``rows`` (ne, a) and ``cols`` (ne, b) are the elements' dof lists.
     """
+    # Built in the index dtype scipy keeps, so no int64 copy is made.
+    idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
     mat = sparse.coo_matrix(
-        (local.ravel(), (np.broadcast_to(rows[:, :, None], local.shape).ravel(),
-                         np.broadcast_to(cols[:, None, :], local.shape).ravel())),
+        (local.ravel(),
+         (np.broadcast_to(rows.astype(idx)[:, :, None], local.shape).ravel(),
+          np.broadcast_to(cols.astype(idx)[:, None, :], local.shape).ravel())),
         shape=shape).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
@@ -69,6 +72,7 @@ def assemble_viscous(fe):
     k = np.einsum("qtia,qtjb->tabij", wg, grads)
     local = np.block([[2.0 * k[:, 0, 0] + k[:, 1, 1], k[:, 1, 0]],
                       [k[:, 0, 1], 2.0 * k[:, 1, 1] + k[:, 0, 0]]])
+    del wg, k               # quadrature scratch goes before the scatter
     dofs = _vector_dofs(fe, fe.tri_vnodes)
     mat = _scatter(local, dofs, dofs, (fe.num_velocity_dofs,) * 2)
     mat.eliminate_zeros()
@@ -85,7 +89,8 @@ def assemble_velocity_h1(fe):
     rule = fem.quadrature(4)
     grads = fe.physical_grads(rule)
     k = np.einsum("qt,qtia,qtja->tij", fe.weights(rule), grads, grads)
-    return _componentwise(fe, _p2_mass(fe, rule) + k)
+    k += _p2_mass(fe, rule)     # in place: a + b == b + a bit for bit
+    return _componentwise(fe, k)
 
 
 def velocity_h1_norm(H1, v):

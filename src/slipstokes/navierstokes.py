@@ -129,10 +129,9 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
             f"({fe.num_velocity_dofs},)")
 
     A = forms.assemble_viscous(fe) + forms.assemble_friction(fe, data.alpha)
-    B = forms.assemble_divergence(fe)
     ell = forms.assemble_load(fe, data)
     H1 = forms.assemble_velocity_h1(fe)
-    stokes = apply_plan(plan, A, B, ell)
+    stokes = apply_plan(plan, A, forms.assemble_divergence(fe), ell)
     lu = factorize(stokes.matrix)
     x = gated_solve(stokes, lu.solve)
 

@@ -131,14 +131,16 @@ def symmetric_lu(matrix):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _equilibration(a):
-    """Diagonal ``d`` with every row maximum of ``diag(d) a diag(d)`` near 1.
+def _equilibration(matrix):
+    """``(d, norm)``: the diagonal ``d`` with every row maximum of
+    ``D |M| D`` near 1, ``D = diag(d)``, and the 1-norm of ``D M D``.
 
-    ``a`` is ``|M|`` in CSR form.  Repeats ``d_i <- d_i / sqrt(row max i)``
-    until each row maximum is within a factor 2 of one.  The log-imbalance
-    roughly halves per sweep, so the cap of 32 sweeps is rarely reached:
-    the saddle systems here stop after two or three.
+    Repeats ``d_i <- d_i / sqrt(row max i)`` until each row maximum is
+    within a factor 2 of one.  The log-imbalance roughly halves per
+    sweep, so the cap of 32 sweeps is rarely reached: the saddle systems
+    here stop after two or three.  ``|M|`` lives only in this call.
     """
+    a = abs(matrix).tocsr()
     row_max = a.max(axis=1).toarray().ravel()
     if not row_max.all():
         raise SingularSystem(f"{np.count_nonzero(row_max == 0.0)} zero rows")
@@ -148,19 +150,18 @@ def _equilibration(a):
             break
         d /= np.sqrt(row_max)
         row_max = d * np.maximum.reduceat(a.data * d[a.indices], a.indptr[:-1])
-    return d
+    return d, (d * (a.T @ d)).max()
 
 
-def _equilibrated_rcond(a, lu, d):
-    """Reciprocal 1-norm condition estimate of ``D M D``, ``D = diag(d)``.
+def _equilibrated_rcond(norm, lu, d):
+    """Reciprocal 1-norm condition estimate of ``D M D``, ``D = diag(d)``,
+    whose 1-norm is ``norm``.
 
-    ``a`` is ``|M|``.  ``(D M D)^-1 = D^-1 M^-1 D^-1`` is applied through
-    the existing factors; ``onenormest`` with ``t=1`` draws no random
-    numbers.
+    ``(D M D)^-1 = D^-1 M^-1 D^-1`` is applied through the existing
+    factors; ``onenormest`` with ``t=1`` draws no random numbers.
     """
-    norm = (d * (a.T @ d)).max()
     inverse = spla.LinearOperator(
-        a.shape, dtype=float,
+        lu.shape, dtype=float,
         matvec=lambda x: lu.solve(np.ravel(x) / d) / d,
         rmatvec=lambda x: lu.solve(np.ravel(x) / d, trans="T") / d)
     return 1.0 / (norm * spla.onenormest(inverse, t=1))
@@ -187,13 +188,12 @@ def factorize(matrix):
     if matrix.shape[0] != matrix.shape[1]:
         raise NumericalError(f"shape mismatch: matrix {matrix.shape}")
 
-    a = abs(matrix).tocsr()
-    d = _equilibration(a)
+    d, norm = _equilibration(matrix)
     try:
         lu = symmetric_lu(matrix)
     except RuntimeError as exc:
         raise SingularSystem(f"sparse factorization failed: {exc}") from exc
-    rcond = _equilibrated_rcond(a, lu, d)
+    rcond = _equilibrated_rcond(norm, lu, d)
     if not rcond >= PIVOT_RTOL:
         raise SingularSystem(
             f"equilibrated condition estimate {rcond:.3e} below {PIVOT_RTOL:.1e}; "

@@ -135,6 +135,7 @@ def _shifted_lu(matrix, target, count_below, known):
             below = count_below(lu.U.diagonal())
             if below == known:
                 return lu, shift, below
+        del lu      # the rejected factor and the L, U copies lu.U cached
     return symmetric_lu(matrix(SIGMA)), SIGMA, None
 
 
@@ -264,20 +265,20 @@ def beta_inequality_checks(mesh):
     fe = fem.build_taylor_hood(mesh)
     plan = fe.slip_plan()
     P = plan.basis
-    A_half = 0.5 * plan.reduce(forms.assemble_viscous(fe))
     # The default rule integrates the P2 mass exactly, so one assembly
     # serves the L2 norm and the volume moment.
     mass = forms.assemble_velocity_mass(fe)
     M_l2 = plan.reduce(mass)
-    n = A_half.shape[0]
+    g_vol = P.T @ (mass @ fem.interpolate(fe, rigid_rotation().value))
+    del mass
+    g_bnd = P.T @ forms.boundary_rotation_functional(fe)
+    n = M_l2.shape[0]
     floor = _zero_floor(n)
 
-    beta_coeffs = fem.interpolate(fe, rigid_rotation().value)
-    g_vol = P.T @ (mass @ beta_coeffs)
-    g_bnd = P.T @ forms.boundary_rotation_functional(fe)
-
-    # One factorization of the shifted operator serves both functionals.
-    lu = symmetric_lu((A_half - SIGMA * M_l2).tocsc())
+    # One factorization of the shifted operator serves both functionals;
+    # it is the only copy of the strain form left when SuperLU runs.
+    lu = symmetric_lu((0.5 * plan.reduce(forms.assemble_viscous(fe))
+                       - SIGMA * M_l2).tocsc())
     reports = {}
     for name, g in (("volume", g_vol), ("boundary", g_bnd)):
         lam, solves = _rank_one_smallest(g, M_l2, lu)

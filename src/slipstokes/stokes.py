@@ -139,9 +139,9 @@ def _friction_solves(fe, data, alphas, plan):
         lu = None
         for alpha, p in run:
             A = A_visc + forms.assemble_friction(fe, alpha)
-            if len(results) == len(alphas) - 1:
-                del A_visc         # not held through the last factorization
             system = apply_plan(p, A, B, ell)
+            if len(results) == len(alphas) - 1:
+                del A_visc, B      # not held through the last factorization
             if len(run) == 1:      # no later value needs the factors
                 x, iterations = factor_solve(system), None
             elif lu is None:

@@ -307,6 +307,56 @@ class TestFrictionSweep:
             assert fill[0] == fill[1]
 
 
+@st.composite
+def _monotone_sweeps(draw):
+    """A mesh, random data and an ascending scalar friction schedule:
+    squares 2-6 from alpha 0 up, disks 1-2 from 1e-2 up (below that the
+    unguarded disk nears its kernel)."""
+    disk = draw(st.booleans())
+    mesh = (make_disk(draw(st.integers(1, 2))) if disk
+            else make_unit_square(draw(st.integers(2, 6))))
+    unit = st.floats(-1.0, 1.0)
+    a = draw(st.lists(unit, min_size=6, max_size=6))
+    F = np.array(draw(st.lists(unit, min_size=4, max_size=4))).reshape(2, 2)
+    h = np.array(draw(st.lists(unit, min_size=2, max_size=2)))
+
+    def f(p):
+        x, y = p[:, 0], p[:, 1]
+        return np.column_stack([a[0] + a[1] * np.sin(3.0 * x * y) + a[2] * y,
+                                a[3] + a[4] * np.cos(2.0 * x) + a[5] * x * y])
+
+    exponent = st.floats(-2.0 if disk else -4.0, 8.0).map(lambda e: 10.0 ** e)
+    alphas = draw(st.lists(exponent, min_size=2, max_size=6))
+    if not disk and draw(st.booleans()):
+        alphas.append(0.0)
+    return mesh, ProblemData(f=f, F=F, h=h), sorted(alphas)
+
+
+def _assert_nonincreasing(mesh, data, alphas, name):
+    # A relative rise up to 1e-9 is within the accuracy of the solves.
+    sols, _ = solve_friction_sweep(mesh, data, alphas)
+    values = [sol.diagnostics[name] for sol in sols]
+    for low, high in zip(values, values[1:]):
+        assert high <= low + 1e-9 * abs(low), (alphas, values)
+
+
+class TestFrictionMonotonicity:
+    """For scalar alpha the solution minimizes ``a(u, u)/2 + alpha r(u, u)/2
+    - l(u)`` over the constrained, divergence-free space, with ``a`` and
+    ``r`` positive semidefinite: so the tangential trace ``r(u, u)`` and
+    ``l(u) = -2 min J`` cannot grow with alpha."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_monotone_sweeps())
+    def test_tangential_trace_does_not_grow(self, sweep):
+        _assert_nonincreasing(*sweep, "boundary_tangential_l2")
+
+    @settings(max_examples=25, deadline=None)
+    @given(_monotone_sweeps())
+    def test_energy_rhs_does_not_grow(self, sweep):
+        _assert_nonincreasing(*sweep, "energy_rhs")
+
+
 class TestClampedReference:
     @pytest.mark.parametrize("data", [sweep_forcing(),
                                       stokes_mms(alpha=1.0)["data"]],
