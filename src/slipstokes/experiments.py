@@ -90,8 +90,8 @@ class RunReport:
     """Rows plus fits plus the configuration echo for one experiment.
 
     ``krylov`` holds, row by row, the GMRES iterations of the friction
-    sweeps' solves (None where a system was factored).  It goes to
-    ``report.json`` only, never to the deterministic ``report.csv``.
+    sweeps' solves (None where a system was factored, up front too).  It
+    goes to ``report.json`` only, never to the deterministic ``report.csv``.
     """
 
     kind: str

@@ -14,7 +14,7 @@ the preconditioned operator is the identity plus the convection's
 relative size, so few iterations are needed (Elman, Silvester and Wathen,
 *Finite Elements and Fast Iterative Solvers*, ch. 8; Knoll and Keyes,
 J. Comput. Phys. 193 (2004) on lagged preconditioners).  A sweep GMRES
-cannot settle is refactored, and its factors precondition later sweeps.
+cannot settle, or can be expected not to, is refactored for later sweeps.
 """
 
 import csv
@@ -27,7 +27,8 @@ from . import fem, forms
 from .constraints import apply_plan, build_constraint_plan
 from .errors import InvalidArgument, MaxIterations
 from .fields import rigid_rotation
-from .saddle import factorize, gated_solve, krylov_solve, relative_residual
+from .saddle import (Factors, factorize, gated_solve, krylov_solve,
+                     relative_residual)
 from .spectra import korn_quotient_min
 from .stokes import Solution, _diagnostics, energy_defect, energy_gate
 
@@ -62,9 +63,9 @@ class IterationLog:
     ``rows`` hold (iteration, increment, energy_residual) where the
     increment is the H1 norm of the velocity update.  ``krylov`` holds
     the GMRES iterations of each sweep's solve, plus one entry for the
-    undamped polish of a damped run; None marks a solve that fell back
-    to a fresh factorization.  It stays out of ``rows`` and ``to_csv``,
-    which are deterministic outputs.
+    undamped polish of a damped run; None marks a refactored solve, after
+    a missed GMRES cycle or up front.  It stays out of ``rows`` and
+    ``to_csv``, which are deterministic outputs.
     """
 
     rows: list = field(default_factory=list)
@@ -99,8 +100,9 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
     and energy gates of :func:`solve_stokes`.  Sweep ``k`` solves
     ``K + C(u_k)`` (``C`` in the velocity block) by GMRES on the Stokes
     factors, warm-started from the previous solution, under the
-    ``RESIDUAL_RTOL`` gate; a sweep that GMRES cannot settle within its
-    cap is refactored through the full gate, for the later sweeps too.
+    ``RESIDUAL_RTOL`` gate; a sweep that GMRES misses within its cap, or
+    one after a sweep that took over half of it, is refactored through the
+    full gate once the old factors are dropped, for the later sweeps too.
 
     Why the Stokes gate covers each sweep: ``A`` (viscous plus friction,
     alpha >= 0) is symmetric positive semidefinite, and ``C`` is skew.
@@ -132,8 +134,8 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
     ell = forms.assemble_load(fe, data)
     H1 = forms.assemble_velocity_h1(fe)
     stokes = apply_plan(plan, A, forms.assemble_divergence(fe), ell)
-    lu = factorize(stokes.matrix)
-    x = gated_solve(stokes, lu.solve)
+    factors = Factors(factorize(stokes.matrix))
+    x = gated_solve(stokes, factors.lu.solve)
 
     def picard_system(w):
         """The bordered Stokes system with ``C(w)`` in its velocity block."""
@@ -153,7 +155,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
     first_increment = None
     for it in range(1, opts.max_iterations + 1):
         system = picard_system(u)
-        x, iterations, lu = krylov_solve(system, lu, x)
+        x, iterations = krylov_solve(system, factors, x)
         log.krylov.append(iterations)
         u_new, p, mult = plan.reconstruct(x)
         if opts.damping != 1.0:
@@ -184,10 +186,10 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
         # One undamped polish so the returned pair solves its own
         # linearization exactly; the increment is already below tolerance.
         system = picard_system(u)
-        x, iterations, lu = krylov_solve(system, lu, x)
+        x, iterations = krylov_solve(system, factors, x)
         log.krylov.append(iterations)
         u, p, mult = plan.reconstruct(x)
-    del lu
+    del factors
 
     diag = _diagnostics(fe, system, x, u, p, mult, A, ell)
     diag["nonlinear_residual"] = relative_residual(picard_system(u), x)

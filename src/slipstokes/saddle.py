@@ -30,10 +30,11 @@ A final residual gate rejects inaccurate solves.
 Each gate exists once: ``factorize`` is the gated factorization,
 ``gated_solve`` the finiteness and residual gates around any solve, and
 ``factor_solve`` the two in a row.  ``krylov_solve`` reuses factors that
-passed ``factorize`` for a nearby matrix: GMRES, preconditioned with them,
-under the same residual gate, and a refactorization through
-``factorize`` when GMRES does not converge within its cap, whose factors
-it hands back.
+passed ``factorize`` for a nearby matrix, held in :class:`Factors`: GMRES,
+preconditioned with them, under the same residual gate, and a
+refactorization through ``factorize`` when GMRES does not converge within
+its cap, or up front when the last solve on them took over half of it.
+The refactorization drops the held factors before it runs.
 """
 
 from dataclasses import dataclass
@@ -53,6 +54,15 @@ RESIDUAL_RTOL = 1e-10
 # misses the residual within the cap is refactored.
 KRYLOV_RTOL = 1e-12
 KRYLOV_MAXITER = 50
+
+
+@dataclass
+class Factors:
+    """SuperLU factors ``lu`` that passed ``factorize``, and the GMRES
+    iterations of the last solve on them; ``krylov_solve`` replaces both."""
+
+    lu: object
+    iterations: int = 0
 
 
 @dataclass
@@ -244,32 +254,39 @@ def factor_solve(system):
     return gated_solve(system, factorize(system.matrix).solve)
 
 
-def krylov_solve(system, lu, x0):
-    """GMRES on ``system``, preconditioned by ``lu`` and warm-started at ``x0``.
+def krylov_solve(system, factors, x0):
+    """GMRES on ``system``, preconditioned by ``factors``, warm-started at ``x0``.
 
-    ``lu`` factors a nearby matrix ``M`` that passed ``factorize``; in the
-    Picard iteration, the latest gated matrix.  The correction is
+    ``factors.lu`` factors a nearby matrix ``M`` that passed ``factorize``;
+    in the Picard iteration, the latest gated matrix.  The correction is
     ``x = x0 + M^-1 z`` with ``z`` from GMRES on ``K M^-1 z = b - K x0``.
     This is right preconditioning, so the residual GMRES minimizes is the
     true residual of ``x``.  One restart cycle of at most
     ``KRYLOV_MAXITER`` iterations aims at ``KRYLOV_RTOL * |b|``, and a
     result that reaches it then passes ``gated_solve``.  A solve that
     misses it within the cap is refactored through ``factorize`` instead,
-    so it gets the full singularity gate.  Returns ``(x, iterations,
-    lu)``; after such a fallback, ``iterations`` is None and ``lu`` the
-    new factors of ``K``, to precondition the caller's next solves.
+    so it gets the full singularity gate; so is one whose held factors
+    last took more than ``KRYLOV_MAXITER // 2`` iterations, up front,
+    without the cycle (every capped cycle of the default friction sweeps
+    followed such a solve).  The stale factor leaves ``factors`` before
+    SuperLU runs, so one factor is resident, and the new one replaces it
+    for the caller's next solves.  Returns ``(x, iterations)``, with
+    ``iterations`` None after a refactorization.
     """
     K = system.matrix
-    b = np.asarray(system.rhs, dtype=float)
-    op = spla.LinearOperator(K.shape, matvec=lambda z: K @ lu.solve(z),
-                             dtype=float)
-    residuals = []
-    z, info = spla.gmres(op, b - K @ x0, rtol=0.0,
-                         atol=KRYLOV_RTOL * np.linalg.norm(b),
-                         restart=KRYLOV_MAXITER, maxiter=1,
-                         callback=residuals.append, callback_type="pr_norm")
-    if info != 0:
-        lu = factorize(K)
-        return gated_solve(system, lu.solve), None, lu
-    x = x0 + lu.solve(z)
-    return gated_solve(system, lambda _: x), len(residuals), lu
+    if factors.iterations <= KRYLOV_MAXITER // 2:
+        b = np.asarray(system.rhs, dtype=float)
+        op = spla.LinearOperator(K.shape, dtype=float,
+                                 matvec=lambda z: K @ factors.lu.solve(z))
+        residuals = []
+        z, info = spla.gmres(op, b - K @ x0, rtol=0.0,
+                             atol=KRYLOV_RTOL * np.linalg.norm(b),
+                             restart=KRYLOV_MAXITER, maxiter=1,
+                             callback=residuals.append, callback_type="pr_norm")
+        if info == 0:
+            factors.iterations = len(residuals)
+            x = x0 + factors.lu.solve(z)
+            return gated_solve(system, lambda _: x), len(residuals)
+    factors.lu = None           # the stale factor dies before SuperLU runs
+    factors.lu, factors.iterations = factorize(K), 0
+    return gated_solve(system, factors.lu.solve), None

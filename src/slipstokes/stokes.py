@@ -27,8 +27,8 @@ from .errors import (IncompatibleData, InvalidArgument, NumericalError,
                      SingularSystem)
 from .fem import interpolate
 from .fields import rigid_rotation
-from .saddle import (factor_solve, factorize, gated_solve, krylov_solve,
-                     relative_residual)
+from .saddle import (Factors, factor_solve, factorize, gated_solve,
+                     krylov_solve, relative_residual)
 
 ENERGY_RTOL = 1e-8
 COMPAT_RTOL = 1e-10
@@ -112,7 +112,8 @@ def _friction_solves(fe, data, alphas, plan):
     ``factorize`` (``factor_solve`` when it is the run's only one, whose
     factors nothing reuses); each later one is solved by ``krylov_solve``
     on the latest gated factors, warm-started from the previous solution.
-    The iteration count is None where a system was factored.
+    They live only in the run's ``saddle.Factors``, which a refactor empties
+    first.  The count is None where a system was factored, up front too.
     """
     plans = [plan or build_constraint_plan(fe, replace(data, alpha=alpha))
              for alpha in alphas]
@@ -136,7 +137,7 @@ def _friction_solves(fe, data, alphas, plan):
                     f"rotation pairing of the data is {defect:.3e} "
                     f"(relative {abs(defect) / scale:.3e}); the frictionless "
                     "disk problem needs data orthogonal to the rigid rotation")
-        lu = None
+        factors = None
         for alpha, p in run:
             A = A_visc + forms.assemble_friction(fe, alpha)
             system = apply_plan(p, A, B, ell)
@@ -144,11 +145,11 @@ def _friction_solves(fe, data, alphas, plan):
                 del A_visc, B      # not held through the last factorization
             if len(run) == 1:      # no later value needs the factors
                 x, iterations = factor_solve(system), None
-            elif lu is None:
-                lu = factorize(system.matrix)
-                x, iterations = gated_solve(system, lu.solve), None
+            elif factors is None:
+                factors = Factors(factorize(system.matrix))
+                x, iterations = gated_solve(system, factors.lu.solve), None
             else:
-                x, iterations, lu = krylov_solve(system, lu, x)
+                x, iterations = krylov_solve(system, factors, x)
             u, pressure, mult = p.reconstruct(x)
             diag = _diagnostics(fe, system, x, u, pressure, mult, A, ell)
             results.append((Solution(u=u, p=pressure, diagnostics=diag, fe=fe),
@@ -183,9 +184,9 @@ def solve_friction_sweep(mesh, data, alphas):
     each plan (on the disk, the guard plan at vanishing friction and the
     slip plan otherwise) is factored through the full singularity gate;
     every larger value is solved by GMRES on the latest gated factors,
-    under the ``RESIDUAL_RTOL`` gate, and a solve GMRES cannot settle
-    within its cap is refactored through the full gate, its factors
-    preconditioning the solves after it.
+    under the ``RESIDUAL_RTOL`` gate; a solve GMRES misses within its cap,
+    or one after a solve that took over half of it, is refactored through
+    the full gate, its factors replacing the old ones for the solves after.
 
     Why the gate at ``alpha0`` covers each ``alpha > alpha0 >= 0``: the
     velocity block is ``A + alpha R``, with ``A`` the viscous form and

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from slipstokes import fem
 from slipstokes.errors import InvalidArgument
@@ -221,6 +222,26 @@ class TestReports:
         assert counts[smallest] is None
         assert any(isinstance(c, int) and c > 0 for c in counts)
         assert "krylov" not in Path(csv_path).read_text()
+
+    def test_default_sweeps_run_no_capped_cycle(self, monkeypatch):
+        # Square 32.  Each capped cycle of these sweeps came right after
+        # a 27-iteration solve, so those systems are refactored up front:
+        # the same ones a missed cycle refactored, with the same counts.
+        gmres, missed = spla.gmres, []
+
+        def recording(*args, **kwargs):
+            z, info = gmres(*args, **kwargs)
+            missed.append(info != 0)
+            return z, info
+        monkeypatch.setattr(spla, "gmres", recording)
+        expected = {
+            "alpha_to_zero": [5, 4, 4, 4, 3, 3, 3, 3, 2, 2, 2, None],
+            "alpha_to_infinity": [None, 12, 27, None, 14, 16, 16],
+            "uniform_bound": [None, 3, 7, 27, None, 8],
+        }
+        for kind, counts in expected.items():
+            assert run_experiment(ExperimentConfig(kind=kind)).krylov == counts
+        assert missed == [False] * 20
 
     def test_other_kinds_write_no_iterations(self, tmp_path):
         _, json_path = write_report(self.run_small_mms(), str(tmp_path))

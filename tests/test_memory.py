@@ -3,19 +3,25 @@ the caller still reads after it.
 
 tracemalloc counts numpy's buffers, so its live bytes at the moment
 ``splu`` is entered are what the caller holds through the factorization,
-on top of SuperLU's own factors and workspace.
+on top of SuperLU's own factors and workspace.  No earlier factor is
+alive then either: a refactorization drops the factors it replaces.
 """
 
 import gc
 import tracemalloc
 
+import numpy as np
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from slipstokes import (apply_plan, assemble_divergence, assemble_friction,
-                        assemble_load, assemble_velocity_mass,
-                        assemble_viscous, beta_inequality_checks,
-                        build_constraint_plan, build_taylor_hood, make_disk,
-                        make_unit_square, solve_stokes, stokes_mms)
+from slipstokes import (PicardOptions, apply_plan, assemble_divergence,
+                        assemble_friction, assemble_load,
+                        assemble_velocity_mass, assemble_viscous,
+                        beta_inequality_checks, build_constraint_plan,
+                        build_taylor_hood, make_disk, make_unit_square,
+                        navier_stokes_mms, saddle, solve_friction_sweep,
+                        solve_navier_stokes, solve_stokes, stokes_mms,
+                        sweep_forcing)
 
 SLACK = 1.1
 
@@ -86,3 +92,43 @@ def test_rotation_moments_hold_the_shifted_matrix_and_the_mass(monkeypatch):
     # The two reduced moment vectors, one float per reduced dof each.
     needed = factored + _sparse(M_l2) + 2 * 8 * M_l2.shape[0]
     assert live <= SLACK * needed, (live, needed)
+
+
+def test_krylov_fallback_drops_the_stale_factor(monkeypatch, factors_alive):
+    rng = np.random.default_rng(5)
+    n, m = 40, 12
+    R = rng.standard_normal((n, n))
+    B = rng.standard_normal((m, n))
+    K = np.block([[R @ R.T + n * np.eye(n), B.T], [B, np.zeros((m, m))]])
+    C = np.zeros(K.shape)
+    C[:n, :n] = 2.0 * (R - R.T)
+    system = saddle.SaddleSystem(matrix=sparse.csr_matrix(K + C),
+                                 rhs=rng.standard_normal(n + m))
+    monkeypatch.setattr(saddle, "KRYLOV_MAXITER", 1)
+    alive = factors_alive(saddle)
+    factors = saddle.Factors(saddle.factorize(sparse.csr_matrix(K)))
+    _, iterations = saddle.krylov_solve(system, factors, np.zeros(n + m))
+    assert iterations is None
+    assert alive == [[], [False]]
+
+
+def test_friction_sweep_refactors_with_one_factor_alive(factors_alive):
+    alive = factors_alive(saddle)
+    _, iterations = solve_friction_sweep(
+        make_unit_square(32), sweep_forcing(), [10.0 ** k for k in range(7)])
+    # The refactorization at 1e3 starts after the factor of 1 is gone.
+    assert iterations.index(None, 1) == 3
+    assert alive == [[], [False]]
+
+
+def test_picard_fallbacks_refactor_with_one_factor_alive(monkeypatch,
+                                                         factors_alive):
+    # A zero target keeps GMRES from settling, so every sweep refactors.
+    monkeypatch.setattr(saddle, "KRYLOV_MAXITER", 1)
+    monkeypatch.setattr(saddle, "KRYLOV_RTOL", 0.0)
+    alive = factors_alive(saddle)
+    data = navier_stokes_mms(alpha=1.0, amplitude=4.0)["data"]
+    _, log = solve_navier_stokes(make_unit_square(8), data,
+                                 PicardOptions(damping=0.7))
+    assert log.krylov == [None] * len(log.krylov) and len(log.krylov) > 2
+    assert alive == [[False] * k for k in range(len(log.krylov) + 1)]

@@ -139,8 +139,8 @@ class TestPicard:
         data = navier_stokes_mms(alpha=1.0, amplitude=0.15)["data"]
         solved = []
 
-        def recording(system, lu, x0):
-            out = saddle.krylov_solve(system, lu, x0)
+        def recording(system, factors, x0):
+            out = saddle.krylov_solve(system, factors, x0)
             solved.append(out[0])
             return out
 

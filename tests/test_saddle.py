@@ -15,8 +15,8 @@ from slipstokes import (apply_plan, assemble_convection_skew,
                         make_unit_square, navier_stokes_mms, sweep_forcing)
 from slipstokes.errors import NumericalError, SingularSystem
 from slipstokes import saddle
-from slipstokes.saddle import (SaddleSystem, factor_solve, factorize,
-                               krylov_solve, symmetric_lu)
+from slipstokes.saddle import (Factors, SaddleSystem, factor_solve,
+                               factorize, krylov_solve, symmetric_lu)
 
 
 def random_spd_saddle(n=40, m=12, seed=0):
@@ -61,26 +61,51 @@ class TestKrylovSolve:
     def test_matches_direct_solve_on_nearby_factors(self):
         stokes, system = self.skew_perturbed(seed=3, size=2.0)
         lu = factorize(stokes.matrix)
-        x, iterations, kept = krylov_solve(system, lu,
-                                           np.zeros(len(system.rhs)))
+        factors = Factors(lu)
+        x, iterations = krylov_solve(system, factors,
+                                     np.zeros(len(system.rhs)))
         ref = factor_solve(system)
-        assert 0 < iterations <= saddle.KRYLOV_MAXITER and kept is lu
+        assert 0 < iterations <= saddle.KRYLOV_MAXITER and factors.lu is lu
+        assert factors.iterations == iterations
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
         # A converged warm start needs no iteration.
-        again, iterations, kept = krylov_solve(system, lu, ref)
-        assert iterations == 0 and np.array_equal(again, ref) and kept is lu
+        again, iterations = krylov_solve(system, factors, ref)
+        assert iterations == 0 and np.array_equal(again, ref)
+        assert factors.lu is lu
 
     def test_capped_solve_falls_back_to_factor_solve(self, monkeypatch):
         stokes, system = self.skew_perturbed(seed=5, size=2.0)
         monkeypatch.setattr(saddle, "KRYLOV_MAXITER", 1)
         lu = factorize(stokes.matrix)
-        x, iterations, fresh = krylov_solve(system, lu,
-                                            np.zeros(len(system.rhs)))
+        factors = Factors(lu)
+        x, iterations = krylov_solve(system, factors,
+                                     np.zeros(len(system.rhs)))
         assert iterations is None
         assert np.array_equal(x, factor_solve(system))
         # The fallback hands back the factors of the system it solved.
-        assert fresh is not lu
-        assert np.array_equal(fresh.solve(system.rhs), x)
+        assert factors.lu is not lu and factors.iterations == 0
+        assert np.array_equal(factors.lu.solve(system.rhs), x)
+
+    @pytest.mark.parametrize("last", [saddle.KRYLOV_MAXITER // 2,
+                                      saddle.KRYLOV_MAXITER // 2 + 1])
+    def test_slow_last_solve_refactors_up_front(self, monkeypatch, last):
+        stokes, system = self.skew_perturbed(seed=3, size=2.0)
+        calls = []
+        gmres = saddle.spla.gmres
+        monkeypatch.setattr(saddle.spla, "gmres", lambda *args, **kwargs: (
+            calls.append(1) or gmres(*args, **kwargs)))
+        lu = factorize(stokes.matrix)
+        factors = Factors(lu, iterations=last)
+        x, iterations = krylov_solve(system, factors,
+                                     np.zeros(len(system.rhs)))
+        ref = factor_solve(system)
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+        if last > saddle.KRYLOV_MAXITER // 2:
+            # No cycle runs; the system is factored as a miss would be.
+            assert calls == [] and iterations is None
+            assert np.array_equal(x, ref) and factors.lu is not lu
+        else:
+            assert calls == [1] and factors.iterations == iterations > 0
 
 
 class TestFailureModes:

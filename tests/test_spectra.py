@@ -1,6 +1,5 @@
 import sys
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -308,16 +307,6 @@ KNOWN = {"korn_no_friction": 0, "korn_with_friction": 0, "infsup": 1}
 LADDERS = {"square": (2, 4, 8, 16, 32, 64), "disk": (0, 1, 2, 3, 4, 5)}
 
 
-class _Factor:
-    """A factor behind a proxy, so that a test can hold a weak reference."""
-
-    def __init__(self, lu):
-        self._lu = lu
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-
 def _recording_factors(monkeypatch):
     """``perm_r``, ``perm_c`` and U's diagonal of each factor ``spectra`` makes."""
     factors = []
@@ -414,19 +403,12 @@ class TestSpectrumSlicing:
                 assert abs(stopped - value) <= 1e-12 * abs(value), row[0]
 
     @pytest.mark.parametrize("column", list(KNOWN))
-    def test_high_estimate_falls_back_to_sigma(self, monkeypatch, column):
+    def test_high_estimate_falls_back_to_sigma(self, monkeypatch,
+                                               factors_alive, column):
         mesh = make_unit_square(8)
         lone = _constant(mesh, column)
         factors = _recording_factors(monkeypatch)
-        # SuperLU objects take no weak references; a proxy does.
-        recording, made, alive = spectra.symmetric_lu, [], []
-
-        def proxied(mat):
-            alive.append([ref() is not None for ref in made])
-            factor = _Factor(recording(mat))
-            made.append(weakref.ref(factor))
-            return factor
-        monkeypatch.setattr(spectra, "symmetric_lu", proxied)
+        alive = factors_alive(spectra)
         high = _constant(mesh, column, 2.0 * lone.constant)
         assert len(factors) == 2
         # The rejected factor, with its cached L and U, is gone before

@@ -286,9 +286,9 @@ class TestFrictionSweep:
         matrices = []
         monkeypatch.setattr(stokes, "factorize", _counting(
             matrices, saddle.factorize))
-        monkeypatch.setattr(stokes, "krylov_solve", lambda system, lu, x: (
+        monkeypatch.setattr(stokes, "krylov_solve", lambda system, held, x: (
             matrices.append((system.matrix,))
-            or saddle.krylov_solve(system, lu, x)))
+            or saddle.krylov_solve(system, held, x)))
         alphas = [2.0 ** -12, 1.0, 1e6]
         solve_friction_sweep(mesh, data, alphas)
         fe = build_taylor_hood(mesh)

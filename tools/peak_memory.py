@@ -12,7 +12,10 @@ and mesh construction included:
   on the unit square with the manufactured data at alpha 1;
 * ``beta_inequality_checks_disk5``: the two rotation-moment constants of
   disk 5;
-* ``infsup_constant_square128``: the inf-sup constant of square 128.
+* ``infsup_constant_square128``: the inf-sup constant of square 128;
+* ``alpha_to_infinity_square64``: ``run_experiment`` of the default
+  ``alpha_to_infinity`` study on square 64 (the clamped reference and
+  the friction sweep over 1, 10, ..., 1e6).
 
 The cases run one after another; the largest peaks near 1 GB.
 """
@@ -32,6 +35,8 @@ CASES = {
         "ss.solve_stokes(ss.make_unit_square(128), ss.stokes_mms(1.0)['data'])",
     "beta_inequality_checks_disk5": "ss.beta_inequality_checks(ss.make_disk(5))",
     "infsup_constant_square128": "ss.infsup_constant(ss.make_unit_square(128))",
+    "alpha_to_infinity_square64": "ss.run_experiment(ss.ExperimentConfig("
+                                  "kind='alpha_to_infinity', levels=(64,)))",
 }
 
 PROBE = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
