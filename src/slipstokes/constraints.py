@@ -58,6 +58,12 @@ class ConstraintPlan:
         """``P^T matrix P``: a velocity operator on the constrained space."""
         return (self.basis.T @ matrix @ self.basis).tocsr()
 
+    def add_velocity(self, system, A):
+        """``system`` with ``P^T A P`` added to its velocity block."""
+        R = self.reduce(A)
+        R.resize(system.matrix.shape)
+        return replace(system, matrix=system.matrix + R)
+
     def reconstruct(self, x):
         """Split a reduced solution into full velocity, pressure, multipliers."""
         nf, np_ = self.basis.shape[1], len(self.gauge)
@@ -135,16 +141,13 @@ def build_dirichlet_plan(fe):
                         np.unique(np.concatenate([bnodes, bnodes + n])))
 
 
-def apply_plan(plan, A, B, ell):
-    """Reduce the assembled blocks to the constrained space and border them.
-
-    Returns a :class:`SaddleSystem` over the unknowns
-    ``[velocity_free, pressure, gauge multiplier, guard multiplier?]``.
-    """
+def border(plan, B, ell):
+    """The bordered :class:`SaddleSystem` with an empty velocity block, over
+    ``[velocity_free, pressure, gauge multiplier, guard multiplier?]``."""
     P = plan.basis
     B_f = B @ P
     m = sparse.csr_matrix(plan.gauge[None, :])
-    blocks = [[plan.reduce(A), B_f.T, None], [B_f, None, m.T], [None, m, None]]
+    blocks = [[None, B_f.T, None], [B_f, None, m.T], [None, m, None]]
     rhs = [P.T @ ell, np.zeros(len(plan.gauge) + 1)]
     if plan.guard is not None:
         g = sparse.csr_matrix((P.T @ plan.guard)[None, :])
@@ -155,3 +158,8 @@ def apply_plan(plan, A, B, ell):
     matrix = sparse.bmat(blocks, format="csr")
     matrix.sort_indices()
     return SaddleSystem(matrix=matrix, rhs=np.concatenate(rhs))
+
+
+def apply_plan(plan, A, B, ell):
+    """The blocks reduced and bordered: ``border`` plus ``P^T A P``."""
+    return plan.add_velocity(border(plan, B, ell), A)

@@ -6,10 +6,10 @@ matrix is exactly antisymmetric, the converged iterate satisfies the same
 energy identity as the linear problem, and the iteration contracts whenever
 the data is small in the sense of the computed smallness indicator.
 
-The bordered Stokes system is built and factored once per solve, through
-the full singularity gate of ``saddle.factorize``.  Each sweep adds only
-the reduced convection ``C(u_k)`` to its velocity block and is solved by
-GMRES preconditioned with the Stokes factors (``saddle.krylov_solve``):
+The bordered Stokes system is built once per solve and is the first that
+``saddle.krylov_solve`` gets, so it is factored through the full gate.
+Each sweep adds only the reduced convection ``C(u_k)`` to its velocity
+block and is solved by GMRES preconditioned with the Stokes factors:
 the preconditioned operator is the identity plus the convection's
 relative size, so few iterations are needed (Elman, Silvester and Wathen,
 *Finite Elements and Fast Iterative Solvers*, ch. 8; Knoll and Keyes,
@@ -19,7 +19,7 @@ cannot settle, or can be expected not to, is refactored for later sweeps.
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,10 +27,9 @@ from . import fem, forms
 from .constraints import apply_plan, build_constraint_plan
 from .errors import InvalidArgument, MaxIterations
 from .fields import rigid_rotation
-from .saddle import (Factors, factorize, gated_solve, krylov_solve,
-                     relative_residual)
+from .saddle import Factors, krylov_solve, relative_residual
 from .spectra import korn_quotient_min
-from .stokes import Solution, _diagnostics, energy_defect, energy_gate
+from .stokes import _solution, energy_defect, energy_gate
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -95,10 +94,10 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
     contraction regime.
 
     The bordered Stokes matrix ``K = [[A, E^T], [E, Z]]`` is factored
-    once, and a singular one raises ``SingularSystem`` before any sweep.
+    first, and a singular one raises ``SingularSystem`` before any sweep.
     The Stokes initial guess comes from those factors, under the residual
     and energy gates of :func:`solve_stokes`.  Sweep ``k`` solves
-    ``K + C(u_k)`` (``C`` in the velocity block) by GMRES on the Stokes
+    ``K + C(u_k)`` (``plan.add_velocity``) by GMRES on the Stokes
     factors, warm-started from the previous solution, under the
     ``RESIDUAL_RTOL`` gate; a sweep that GMRES misses within its cap, or
     one after a sweep that took over half of it, is refactored through the
@@ -134,14 +133,12 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
     ell = forms.assemble_load(fe, data)
     H1 = forms.assemble_velocity_h1(fe)
     stokes = apply_plan(plan, A, forms.assemble_divergence(fe), ell)
-    factors = Factors(factorize(stokes.matrix))
-    x = gated_solve(stokes, factors.lu.solve)
+    factors = Factors()
+    x, _ = krylov_solve(stokes, factors, None)
 
     def picard_system(w):
         """The bordered Stokes system with ``C(w)`` in its velocity block."""
-        C = plan.reduce(forms.assemble_convection_skew(fe, w))
-        C.resize(stokes.matrix.shape)
-        return replace(stokes, matrix=stokes.matrix + C)
+        return plan.add_velocity(stokes, forms.assemble_convection_skew(fe, w))
 
     if isinstance(opts.initial_guess, np.ndarray):
         u = np.asarray(opts.initial_guess, dtype=float)
@@ -157,7 +154,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
         system = picard_system(u)
         x, iterations = krylov_solve(system, factors, x)
         log.krylov.append(iterations)
-        u_new, p, mult = plan.reconstruct(x)
+        u_new = plan.reconstruct(x)[0]
         if opts.damping != 1.0:
             u_new = opts.damping * u_new + (1.0 - opts.damping) * u
         increment = forms.velocity_h1_norm(H1, u_new - u)
@@ -188,13 +185,13 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
         system = picard_system(u)
         x, iterations = krylov_solve(system, factors, x)
         log.krylov.append(iterations)
-        u, p, mult = plan.reconstruct(x)
     del factors
 
-    diag = _diagnostics(fe, system, x, u, p, mult, A, ell)
-    diag["nonlinear_residual"] = relative_residual(picard_system(u), x)
-    diag["picard_iterations"] = len(log.rows)
-    return Solution(u=u, p=p, diagnostics=diag, fe=fe), log
+    solution = _solution(fe, plan, system, x, A, ell)
+    solution.diagnostics["nonlinear_residual"] = relative_residual(
+        picard_system(solution.u), x)
+    solution.diagnostics["picard_iterations"] = len(log.rows)
+    return solution, log
 
 
 def trilinear_defects(mesh, w, u, v):

@@ -29,12 +29,11 @@ A final residual gate rejects inaccurate solves.
 
 Each gate exists once: ``factorize`` is the gated factorization,
 ``gated_solve`` the finiteness and residual gates around any solve, and
-``factor_solve`` the two in a row.  ``krylov_solve`` reuses factors that
-passed ``factorize`` for a nearby matrix, held in :class:`Factors`: GMRES,
-preconditioned with them, under the same residual gate, and a
-refactorization through ``factorize`` when GMRES does not converge within
-its cap, or up front when the last solve on them took over half of it.
-The refactorization drops the held factors before it runs.
+``factor_solve`` the two in a row.  ``krylov_solve`` solves a family of
+systems on the factors it holds in :class:`Factors`: the first through
+``factorize``, each later one by GMRES preconditioned with them under the
+same residual gate, refactoring (the held factors dropped first) when
+GMRES misses its cap, or up front when the last solve took over half of it.
 """
 
 from dataclasses import dataclass
@@ -58,10 +57,10 @@ KRYLOV_MAXITER = 50
 
 @dataclass
 class Factors:
-    """SuperLU factors ``lu`` that passed ``factorize``, and the GMRES
-    iterations of the last solve on them; ``krylov_solve`` replaces both."""
+    """SuperLU factors ``lu`` that passed ``factorize`` (None at first), and
+    the GMRES iterations of the last solve on them; ``krylov_solve`` sets both."""
 
-    lu: object
+    lu: object = None
     iterations: int = 0
 
 
@@ -257,8 +256,8 @@ def factor_solve(system):
 def krylov_solve(system, factors, x0):
     """GMRES on ``system``, preconditioned by ``factors``, warm-started at ``x0``.
 
-    ``factors.lu`` factors a nearby matrix ``M`` that passed ``factorize``;
-    in the Picard iteration, the latest gated matrix.  The correction is
+    With empty ``factors``, ``system`` is factored (``x0`` unread);
+    otherwise ``factors.lu`` factors the latest gated matrix ``M``.  The correction is
     ``x = x0 + M^-1 z`` with ``z`` from GMRES on ``K M^-1 z = b - K x0``.
     This is right preconditioning, so the residual GMRES minimizes is the
     true residual of ``x``.  One restart cycle of at most
@@ -271,10 +270,10 @@ def krylov_solve(system, factors, x0):
     followed such a solve).  The stale factor leaves ``factors`` before
     SuperLU runs, so one factor is resident, and the new one replaces it
     for the caller's next solves.  Returns ``(x, iterations)``, with
-    ``iterations`` None after a refactorization.
+    ``iterations`` None where ``system`` was factored.
     """
     K = system.matrix
-    if factors.iterations <= KRYLOV_MAXITER // 2:
+    if factors.lu is not None and factors.iterations <= KRYLOV_MAXITER // 2:
         b = np.asarray(system.rhs, dtype=float)
         op = spla.LinearOperator(K.shape, dtype=float,
                                  matvec=lambda z: K @ factors.lu.solve(z))

@@ -10,10 +10,10 @@ vanishing friction, the rotation guard), factorizes and returns a
 to solver precision on every successful solve.
 
 ``solve_friction_sweep`` solves one data set for many friction values on
-one mesh: the viscous form, divergence and load are assembled once, the
-smallest friction of each plan is factored through the full singularity
-gate, and the larger ones are solved by GMRES on the latest gated
-factors.  ``solve_stokes`` is the sweep of one value.
+one mesh, bordered once per plan: ``saddle.krylov_solve`` factors the
+smallest friction of each plan through the full singularity gate and
+solves the larger ones by GMRES on the latest gated factors.
+``solve_stokes`` is the sweep of one value.
 """
 
 from dataclasses import dataclass, replace
@@ -22,13 +22,12 @@ from itertools import groupby
 import numpy as np
 
 from . import fem, forms
-from .constraints import apply_plan, build_constraint_plan
+from .constraints import border, build_constraint_plan
 from .errors import (IncompatibleData, InvalidArgument, NumericalError,
                      SingularSystem)
 from .fem import interpolate
 from .fields import rigid_rotation
-from .saddle import (Factors, factor_solve, factorize, gated_solve,
-                     krylov_solve, relative_residual)
+from .saddle import Factors, factor_solve, krylov_solve, relative_residual
 
 ENERGY_RTOL = 1e-8
 COMPAT_RTOL = 1e-10
@@ -80,7 +79,9 @@ def _rotation_pairing(fe, ell):
             float(np.linalg.norm(ell) * np.linalg.norm(beta)) or 1.0)
 
 
-def _diagnostics(fe, system, x, u, p, mult, A_total, ell):
+def _solution(fe, plan, system, x, A_total, ell):
+    """The :class:`Solution` ``x`` of ``system``, energy-gated on ``A_total``."""
+    u, p, mult = plan.reconstruct(x)
     energy_lhs, energy_rhs, energy_residual = energy_gate(u, A_total, ell)
     rep = fem.norms(fe, u)
     diag = {
@@ -98,7 +99,7 @@ def _diagnostics(fe, system, x, u, p, mult, A_total, ell):
     }
     for name, value in mult.items():
         diag[name] = float(value)
-    return diag
+    return Solution(u=u, p=p, diagnostics=diag, fe=fe)
 
 
 def _friction_solves(fe, data, alphas, plan):
@@ -106,14 +107,12 @@ def _friction_solves(fe, data, alphas, plan):
 
     The values are visited in the given order, which the sweep makes
     ascending.  ``plan`` (or, when None, ``build_constraint_plan`` per
-    value) fixes the constraints, and each system is
-    ``apply_plan(plan, A_visc + M_alpha, B, ell)``.  The first system of
-    each run of plans with the same guard is factored through
-    ``factorize`` (``factor_solve`` when it is the run's only one, whose
-    factors nothing reuses); each later one is solved by ``krylov_solve``
-    on the latest gated factors, warm-started from the previous solution.
-    They live only in the run's ``saddle.Factors``, which a refactor empties
-    first.  The count is None where a system was factored, up front too.
+    value) fixes the constraints.  Each run of plans with the same guard
+    is bordered once, and each value adds ``A_visc + M_alpha`` to it.  A
+    run of one value is solved by ``factor_solve``; a longer one hands
+    every system to ``krylov_solve`` on the run's ``saddle.Factors``,
+    warm-started from the previous solution.  The count is None where a
+    system was factored.
     """
     plans = [plan or build_constraint_plan(fe, replace(data, alpha=alpha))
              for alpha in alphas]
@@ -137,23 +136,20 @@ def _friction_solves(fe, data, alphas, plan):
                     f"rotation pairing of the data is {defect:.3e} "
                     f"(relative {abs(defect) / scale:.3e}); the frictionless "
                     "disk problem needs data orthogonal to the rigid rotation")
-        factors = None
-        for alpha, p in run:
+        bordered = border(run[0][1], B, ell)
+        factors, x = Factors(), None
+        for k, (alpha, p) in enumerate(run, 1):
             A = A_visc + forms.assemble_friction(fe, alpha)
-            system = apply_plan(p, A, B, ell)
+            system = p.add_velocity(bordered, A)
+            if k == len(run):
+                del bordered       # not held through the run's last solve
             if len(results) == len(alphas) - 1:
                 del A_visc, B      # not held through the last factorization
             if len(run) == 1:      # no later value needs the factors
                 x, iterations = factor_solve(system), None
-            elif factors is None:
-                factors = Factors(factorize(system.matrix))
-                x, iterations = gated_solve(system, factors.lu.solve), None
             else:
                 x, iterations = krylov_solve(system, factors, x)
-            u, pressure, mult = p.reconstruct(x)
-            diag = _diagnostics(fe, system, x, u, pressure, mult, A, ell)
-            results.append((Solution(u=u, p=pressure, diagnostics=diag, fe=fe),
-                            iterations))
+            results.append((_solution(fe, p, system, x, A, ell), iterations))
     return results
 
 
@@ -178,7 +174,7 @@ def solve_friction_sweep(mesh, data, alphas):
     ignored), and the GMRES iterations of its solve, None where the
     system was factored.  Duplicates are solved again.  The refusals of
     :func:`solve_stokes` apply to every value, and ``InvalidArgument`` is
-    raised for an empty list or a negative or non-finite value.
+    raised, before any solve, for an empty list or a bad value.
 
     The values are visited in increasing order.  The smallest value of
     each plan (on the disk, the guard plan at vanishing friction and the
@@ -208,17 +204,11 @@ def solve_friction_sweep(mesh, data, alphas):
         raise InvalidArgument(f"friction values must be numbers: {exc}") from exc
     if values.ndim != 1 or not values.size:
         raise InvalidArgument("a friction sweep needs a list of values")
-    if not (np.isfinite(values).all() and (values >= 0.0).all()):
-        raise InvalidArgument(
-            f"friction values must be finite and nonnegative, got {values}")
     order = np.argsort(values, kind="stable")
     solved = _friction_solves(fem.build_taylor_hood(mesh), data,
                               values[order].tolist(), None)
-    solutions = [None] * len(values)
-    iterations = [None] * len(values)
-    for k, (solution, count) in zip(order, solved):
-        solutions[k], iterations[k] = solution, count
-    return solutions, iterations
+    back = np.argsort(order)
+    return [solved[k][0] for k in back], [solved[k][1] for k in back]
 
 
 def energy_report(solution):

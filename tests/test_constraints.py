@@ -214,6 +214,48 @@ class TestApplyPlan:
         assert (sys.matrix != ref).nnz == 0
         assert np.array_equal(sys.rhs[:fe.num_velocity_dofs], ell)
 
+    @pytest.mark.parametrize("mesh, alpha, clamped", [
+        (make_unit_square(32), 1.0, False), (make_disk(3), 1.0, False),
+        (make_disk(3), 0.0, False), (make_unit_square(16), 1.0, True),
+    ], ids=["slip-square32", "slip-disk3", "guarded-disk3", "clamped-square16"])
+    def test_border_plus_velocity_is_the_one_piece_bordering(self, mesh, alpha,
+                                                             clamped):
+        # The velocity block and the border do not overlap, so adding
+        # P^T A P to the bordered system stores the very entries of the
+        # one-piece block matrix.
+        fe = build_taylor_hood(mesh)
+        data = ProblemData(f=lambda p: np.column_stack([np.sin(3.0 * p[:, 1]),
+                                                        p[:, 0] ** 2]),
+                           alpha=alpha, compatibility_mode=True)
+        plan = (build_dirichlet_plan(fe) if clamped
+                else build_constraint_plan(fe, data))
+        assert (plan.guard is not None) == (alpha == 0.0)
+        A = forms.assemble_viscous(fe) + forms.assemble_friction(fe, alpha)
+        B = forms.assemble_divergence(fe)
+        ell = forms.assemble_load(fe, data)
+        P = plan.basis
+        B_f = B @ P
+        m = sparse.csr_matrix(plan.gauge[None, :])
+        blocks = [[(P.T @ A @ P).tocsr(), B_f.T, None], [B_f, None, m.T],
+                  [None, m, None]]
+        rhs = [P.T @ ell, np.zeros(len(plan.gauge) + 1)]
+        if plan.guard is not None:
+            g = sparse.csr_matrix((P.T @ plan.guard)[None, :])
+            for k, row in enumerate(blocks):
+                row.append(g.T if k == 0 else None)
+            blocks.append([g, None, None, None])
+            rhs.append(np.zeros(1))
+        want = sparse.bmat(blocks, format="csr")
+        want.sort_indices()
+        got = apply_plan(plan, A, B, ell)
+        assert np.array_equal(got.matrix.indptr, want.indptr)
+        assert np.array_equal(got.matrix.indices, want.indices)
+        assert np.array_equal(got.matrix.data, want.data)
+        assert np.array_equal(got.rhs, np.concatenate(rhs))
+        bordered = constraints.border(plan, B, ell)
+        assert np.array_equal(bordered.rhs, got.rhs)
+        assert bordered.matrix.nnz + plan.reduce(A).nnz == got.matrix.nnz
+
 
 def _bits(matrix):
     """A CSR matrix's arrays, with the values as their bit patterns."""

@@ -86,6 +86,22 @@ class TestKrylovSolve:
         assert factors.lu is not lu and factors.iterations == 0
         assert np.array_equal(factors.lu.solve(system.rhs), x)
 
+    def test_empty_factors_are_factored_once(self, monkeypatch):
+        system = random_spd_saddle(seed=6)
+        calls = []
+        factorize = saddle.factorize
+        monkeypatch.setattr(saddle, "factorize", lambda matrix: (
+            calls.append(matrix) or factorize(matrix)))
+        factors = Factors()
+        assert factors.lu is None and factors.iterations == 0
+        x, iterations = krylov_solve(system, factors, None)
+        assert iterations is None
+        assert len(calls) == 1 and calls[0] is system.matrix
+        # The gated factor stays in the holder for the later solves.
+        assert factors.lu is not None and factors.iterations == 0
+        assert np.array_equal(x, factors.lu.solve(system.rhs))
+        assert np.array_equal(x, factor_solve(system))
+
     @pytest.mark.parametrize("last", [saddle.KRYLOV_MAXITER // 2,
                                       saddle.KRYLOV_MAXITER // 2 + 1])
     def test_slow_last_solve_refactors_up_front(self, monkeypatch, last):

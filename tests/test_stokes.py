@@ -89,7 +89,6 @@ class TestManufactured:
             return x
 
         monkeypatch.setattr(saddle, "gated_solve", recording)
-        monkeypatch.setattr(stokes, "gated_solve", recording)
         sol = solve_stokes(make_unit_square(8), stokes_mms()["data"])
         [(system, x)] = solved
         residual = saddle.relative_residual(system, x)
@@ -239,14 +238,28 @@ class TestFrictionSweep:
     def test_one_factorization_per_plan(self, monkeypatch, mesh, data,
                                         alphas, plans):
         calls = []
-        monkeypatch.setattr(stokes, "factorize",
-                            _counting(calls, saddle.factorize))
         monkeypatch.setattr(saddle, "factorize",
                             _counting(calls, saddle.factorize))
         _, iterations = solve_friction_sweep(mesh, data, alphas[::-1])
         assert len(calls) == plans
         assert iterations.count(None) == plans
         assert all(isinstance(k, int) for k in iterations if k is not None)
+
+    @pytest.mark.parametrize("mesh, data, alphas, runs", [
+        (make_unit_square(8), sweep_forcing(), [1.0, 1e-2, 1e2], 1),
+        (make_disk(2), dataclasses.replace(disk_compatible_forcing(),
+                                           compatibility_mode=True),
+         [1.0, 0.0, 1e-2, 1e2], 2),
+    ], ids=["square", "disk"])
+    def test_one_border_per_run_of_plans(self, monkeypatch, mesh, data,
+                                         alphas, runs):
+        calls = []
+        monkeypatch.setattr(stokes, "border", _counting(calls, stokes.border))
+        solve_friction_sweep(mesh, data, alphas)
+        assert len(calls) == runs
+        # On the disk the guarded plan at alpha 0 comes first.
+        assert [plan.guard is not None for plan, _, _ in calls] == (
+            [True, False] if runs == 2 else [False])
 
     def test_frictionless_disk_needs_compatibility_mode(self):
         data = disk_compatible_forcing(alpha=1.0)
@@ -284,8 +297,6 @@ class TestFrictionSweep:
         # bordered from A_visc + M_alpha in one piece, as solve_stokes
         # borders it.
         matrices = []
-        monkeypatch.setattr(stokes, "factorize", _counting(
-            matrices, saddle.factorize))
         monkeypatch.setattr(stokes, "krylov_solve", lambda system, held, x: (
             matrices.append((system.matrix,))
             or saddle.krylov_solve(system, held, x)))

@@ -10,7 +10,11 @@ Prints one JSON object of SHA-256 digests:
 * the run id and the sidecar of three command line solves: the default
   ``solve-stokes``, ``solve-ns --data mms`` and the guarded
   ``solve-stokes --domain disk --level 3 --alpha 0 --data disk-compatible``;
-* ``IterationLog.to_csv`` of ``navier_stokes_mms`` on the level-16 square.
+* ``IterationLog.to_csv`` of ``navier_stokes_mms`` on the level-16 square;
+* the bytes of every velocity and the GMRES iteration list of
+  ``solve_friction_sweep`` of ``sweep_forcing`` on disk 3 over
+  ``[1e-2, 1, 1e2, 1e4]``, where ``compat_disk``'s velocity is zero to
+  rounding and so shows no change in the disk friction systems.
 
 A refactor that keeps the numerics prints the same object before and after.
 The package is imported from ``src/`` next to this directory, and no
@@ -31,9 +35,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from slipstokes import cli  # noqa: E402
 from slipstokes.experiments import (KINDS, ExperimentConfig,  # noqa: E402
                                     run_experiment)
-from slipstokes.fields import navier_stokes_mms  # noqa: E402
-from slipstokes.mesh import make_unit_square  # noqa: E402
+from slipstokes.fields import navier_stokes_mms, sweep_forcing  # noqa: E402
+from slipstokes.mesh import make_disk, make_unit_square  # noqa: E402
 from slipstokes.navierstokes import solve_navier_stokes  # noqa: E402
+from slipstokes.stokes import solve_friction_sweep  # noqa: E402
 
 CLI_RUNS = {
     "solve-stokes": ["solve-stokes"],
@@ -75,11 +80,19 @@ def _cli_digests():
     return out
 
 
+def _disk_sweep_digest():
+    solutions, iterations = solve_friction_sweep(
+        make_disk(3), sweep_forcing(), [1e-2, 1.0, 1e2, 1e4])
+    return _sha(b"".join(s.u.tobytes() for s in solutions)
+                + json.dumps(iterations).encode("ascii"))
+
+
 def main():
     _, log = solve_navier_stokes(make_unit_square(16),
                                  navier_stokes_mms()["data"])
     print(json.dumps({"report_csv": _report_digests(), "cli": _cli_digests(),
-                      "iteration_log_csv": _sha(log.to_csv())},
+                      "iteration_log_csv": _sha(log.to_csv()),
+                      "disk3_friction_sweep": _disk_sweep_digest()},
                      indent=2, sort_keys=True))
 
 
