@@ -6,25 +6,43 @@ collapse on the frictionless disk, the friction term restoring it, and a
 mesh- and friction-independent inf-sup constant for the pressure.
 """
 
-from slipstokes import (beta_inequality_checks, infsup_constant,
-                        korn_quotient_min, make_disk, make_unit_square)
+import numpy as np
+import scipy.linalg
+
+from slipstokes import (beta_inequality_checks, build_taylor_hood, forms,
+                        infsup_constant, korn_quotient_min, make_disk,
+                        make_unit_square)
+
+
+def dense_infsup(mesh):
+    """The inf-sup constant from the dense pencil (B K^-1 B^T, M_p): the
+    smallest eigenvalue above the hydrostatic zero, square-rooted."""
+    fe = build_taylor_hood(mesh)
+    plan = fe.slip_plan()
+    K = plan.reduce(forms.assemble_velocity_h1(fe)).toarray()
+    B = (forms.assemble_divergence(fe) @ plan.basis).toarray()
+    S = B @ scipy.linalg.solve(K, B.T, assume_a="pos")
+    vals = scipy.linalg.eigh(S, forms.assemble_pressure_mass(fe).toarray(),
+                             eigvals_only=True)
+    return float(np.sqrt(vals[1]))
+
 
 print("== Korn quotient minimum over impermeable fields ==")
-print(f"{'case':<28} {'constant':>12} {'raw eigenvalue':>16}")
-for n in (4, 8, 16):
-    rep = korn_quotient_min(make_unit_square(n))
-    print(f"{f'square n={n}, alpha=0':<28} {rep.constant:>12.6f} "
-          f"{rep.detail['raw_eigenvalue']:>16.3e}")
-for level in (1, 2, 3):
-    rep = korn_quotient_min(make_disk(level))
-    print(f"{f'disk level {level}, alpha=0':<28} {rep.constant:>12.6f} "
-          f"{rep.detail['raw_eigenvalue']:>16.3e}")
-for level in (1, 2, 3):
-    rep = korn_quotient_min(make_disk(level), alpha=1.0)
-    print(f"{f'disk level {level}, alpha=1+bnd':<28} {rep.constant:>12.6f} "
-          f"{rep.detail['raw_eigenvalue']:>16.3e}")
+print(f"{'case':<28} {'constant':>12} {'kernel defect':>14} {'solves':>7}")
+cases = [(f"square n={n}, alpha=0", make_unit_square(n), 0.0) for n in (4, 8, 16)]
+cases += [(f"disk level {level}, alpha=0", make_disk(level), 0.0)
+          for level in (1, 2, 3)]
+cases += [(f"disk level {level}, alpha=1+bnd", make_disk(level), 1.0)
+          for level in (1, 2, 3)]
+for name, mesh, alpha in cases:
+    rep = korn_quotient_min(mesh, alpha=alpha)
+    defect = rep.detail.get("kernel_defect")
+    print(f"{name:<28} {rep.constant:>12.6f} "
+          f"{'-' if defect is None else f'{defect:.1e}':>14} "
+          f"{rep.detail['lanczos_solves']:>7}")
 print("the disk constant is exactly zero: the interpolated rigid rotation")
-print("is a discrete kernel vector, not merely a small eigenvalue")
+print("meets every constraint, and its strain form vanishes to the rounding")
+print("of evaluating it (the kernel defect), so no eigensolver runs")
 
 print()
 print("== inf-sup (LBB) constant of the divergence pairing ==")
@@ -32,9 +50,9 @@ print(f"{'mesh':<18} {'gamma':>10}")
 for n in (4, 8, 16):
     rep = infsup_constant(make_unit_square(n))
     print(f"{f'square n={n}':<18} {rep.constant:>10.6f}")
-rep = infsup_constant(make_unit_square(4), cross_check=True)
-print(f"dense-oracle cross check at n=4: "
-      f"{abs(rep.detail['dense_oracle'] - rep.constant):.2e} apart")
+gap = abs(dense_infsup(make_unit_square(4))
+          - infsup_constant(make_unit_square(4)).constant)
+print(f"dense-oracle cross check at n=4: {gap:.2e} apart")
 base = infsup_constant(make_unit_square(8), alpha=0.0).constant
 dev = max(abs(infsup_constant(make_unit_square(8), alpha=a).constant - base)
           for a in (1e-2, 1.0, 1e4))

@@ -97,9 +97,8 @@ def build_parser():
     exp.add_argument("--amplitude", type=float, default=None)
 
     spec = sub.add_parser("spectra", help="Korn and inf-sup table")
-    spec.add_argument("--domain", choices=("square", "disk"),
-                      default="square")
-    spec.add_argument("--levels", type=_int_list, default=(4, 8))
+    spec.add_argument("--domain", choices=("square", "disk"), default=None)
+    spec.add_argument("--levels", type=_int_list, default=None)
     spec.add_argument("--alpha", type=float, default=1.0)
     spec.add_argument("--out", default=None, help="report directory")
     return parser
@@ -183,13 +182,8 @@ def _cmd_experiment(args):
         cfg, outdir = parse_config(args.config, kind=args.kind)
     else:
         cfg, outdir = ExperimentConfig(kind=args.kind), None
-        if args.kind in ("compat_disk",) and args.domain is None:
-            cfg.domain = "disk"
-            cfg.levels = (1, 2, 3)
     if args.domain is not None:
         cfg.domain = args.domain
-        if args.levels is None and cfg.domain == "disk":
-            cfg.levels = (1, 2, 3)
     if args.levels is not None:
         cfg.levels = args.levels
     if args.alpha is not None:

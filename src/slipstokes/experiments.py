@@ -32,31 +32,31 @@ import scipy
 from . import __version__ as _version
 from . import fem, forms
 from .constraints import build_dirichlet_plan
-from .errors import (IncompatibleData, InvalidArgument, MaxIterations,
-                     NumericalError, SingularSystem)
+from .errors import (InvalidArgument, MaxIterations, NumericalError,
+                     SingularSystem)
 from .fields import (ProblemData, disk_compatible_forcing, navier_stokes_mms,
                      stokes_mms, sweep_forcing)
 from .mesh import make_disk, make_unit_square
 from .navierstokes import PicardOptions, solve_navier_stokes
 from .spectra import infsup_constant, korn_quotient_min
-from .stokes import (check_compatibility, solve_friction_sweep,
-                     solve_stokes)
+from .stokes import require_compatible, solve_friction_sweep, solve_stokes
 from .fem import pressure_error_l2, velocity_error_h1
 
 KINDS = ("mms", "alpha_to_zero", "alpha_to_infinity", "uniform_bound",
          "compat_disk", "spectra_suite", "ns_mms", "ns_limits")
 
-COMPAT_TOL = 1e-10
 FIT_DROP_FACTOR = 0.3
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated description of one experiment run."""
+    """Validated description of one experiment run; ``validate`` resolves
+    the defaults left as None (``compat_disk`` on the disk, the others on
+    the square; levels (8, 16, 32) on the square, (1, 2, 3) on the disk)."""
 
     kind: str
-    domain: str = "square"
-    levels: tuple = (8, 16, 32)
+    domain: str | None = None
+    levels: tuple | None = None
     radius: float = 1.0
     alpha: float = 1.0
     alpha_schedule: tuple = ()
@@ -68,6 +68,10 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise InvalidArgument(f"unknown experiment kind {self.kind!r}; "
                                   f"choose one of {KINDS}")
+        if self.domain is None:
+            self.domain = "disk" if self.kind == "compat_disk" else "square"
+        if self.levels is None:
+            self.levels = (1, 2, 3) if self.domain == "disk" else (8, 16, 32)
         if self.domain not in ("square", "disk"):
             raise InvalidArgument(f"unknown domain {self.domain!r}")
         if not self.levels or any(l < (0 if self.domain == 'disk' else 1)
@@ -323,10 +327,7 @@ def run_compat_disk(cfg):
 
     def cells(mesh):
         fe = fem.build_taylor_hood(mesh)   # held: both calls share it
-        defect = check_compatibility(mesh, data)
-        if not abs(defect) <= COMPAT_TOL:
-            raise IncompatibleData(
-                f"compatibility defect {defect:.3e} exceeds {COMPAT_TOL:.1e}")
+        defect = require_compatible(fe, forms.assemble_load(fe, data))
         sol = solve_stokes(mesh, data)
         circulation = abs(float(
             forms.boundary_rotation_functional(fe) @ sol.u))

@@ -19,28 +19,27 @@ Given an estimate (in a study, the coarser level's value), Korn and
 inf-sup shift just below it instead, where Lanczos needs far fewer solves,
 once the shifted factor's pivot signs certify the shift (``_shifted_lu``).
 
-Eigenvalues below a rank-style floor (machine epsilon times problem size)
-are reported as exactly zero, which is how the disk kernel shows up: the
-interpolated rigid rotation satisfies every nodal constraint exactly, so
-the constrained strain form is singular to machine precision, not merely
-small.  The inf-sup constant deflates its known zero, the constant
-pressure, exactly; it needs the constant in ``ker B^T`` and refuses a
-mesh where it is not.
+The disk kernel is decided once, by ``constraints.build_constraint_plan``:
+where the plan carries the rotation guard (the disk, friction vanishing),
+the interpolated rigid rotation certifies the zero Korn constant without a
+factorization (``korn_quotient_min``).  The inf-sup constant deflates its
+known zero, the constant pressure, exactly; it needs the constant in
+``ker B^T`` and refuses a mesh where it is not.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import fem, forms
+from .constraints import build_constraint_plan
 from .errors import InvalidArgument
-from .fields import rigid_rotation
+from .fields import ProblemData, rigid_rotation
 from .saddle import symmetric_lu
 
-FLOOR_FACTOR = 100.0
+EPS = np.finfo(float).eps
 # Shift of the shift-invert Lanczos runs.  Negative, so A - SIGMA * M stays
 # positive definite even when A itself is singular (the kernel case).
 SIGMA = -0.1
@@ -60,7 +59,6 @@ class SpectralReport:
     mesh_size: float
     n_dofs: int
     alpha_descriptor: str = ""
-    floor: float = 0.0
     detail: dict | None = None
 
 
@@ -70,15 +68,6 @@ def _alpha_descriptor(alpha):
     if isinstance(alpha, dict):
         return "per-marker"
     return f"{float(alpha):.6g}"
-
-
-def _zero_floor(n):
-    return FLOOR_FACTOR * n * np.finfo(float).eps
-
-
-def _snap(lam, floor):
-    """``lam`` as a float, or exactly 0 below the rank floor."""
-    return 0.0 if lam < floor else float(lam)
 
 
 def _smallest_eig(M, solve, shift, ncv):
@@ -144,34 +133,48 @@ def _detail(shift, below, solves, **extra):
             "lanczos_solves": solves}
 
 
+def _report(mesh, alpha, constant, n, detail):
+    return SpectralReport(constant=constant, mesh_size=mesh.mesh_size(),
+                          n_dofs=n, alpha_descriptor=_alpha_descriptor(alpha),
+                          detail=detail)
+
+
 def korn_quotient_min(mesh, alpha=0.0, estimate=None):
     """Minimum of the coercivity quotient over the constrained space.
 
     quotient(u) = (2 ||D(u)||^2 + int_Gamma alpha |u.t|^2) / ||u||_{H1}^2
 
-    Positive uniformly on the square; collapses to zero on the disk without
-    friction, where the rigid rotation is an exact discrete kernel vector.
-    Values below the rank floor are reported as exactly 0.  A positive
-    ``estimate`` shifts just below it if no pivot is negative.
+    Positive uniformly on the square; zero on the disk without friction,
+    where ``build_constraint_plan`` adds the rotation guard.  There 0 is
+    reported, with no factorization, if the interpolated rotation ``b`` has
+    ``kernel_defect = |b^T A b| / (|b|^T |A| |b|) <= n eps``: the form
+    vanishes to the rounding of its evaluation (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 3.1), which pins the
+    semidefinite ``A``'s minimum to 0 (Courant-Fischer).  Otherwise Lanczos
+    runs; a positive ``estimate`` shifts just below it if no pivot is
+    negative.
     """
     fe = fem.build_taylor_hood(mesh)
-    plan = fe.slip_plan()
+    plan = build_constraint_plan(fe, ProblemData(alpha=alpha))
     A_red = plan.reduce(forms.assemble_viscous(fe)
                         + forms.assemble_friction(fe, alpha))
-    M_red = plan.reduce(forms.assemble_velocity_h1(fe))
     n = A_red.shape[0]
+    kernel = {}
+    if plan.guard is not None:
+        b = plan.basis.T @ fem.interpolate(fe, rigid_rotation().value)
+        kernel["kernel_defect"] = float(
+            abs(b @ (A_red @ b)) / (abs(b) @ (abs(A_red) @ abs(b))))
+        if kernel["kernel_defect"] <= n * EPS:
+            return _report(mesh, alpha, 0.0, n, _detail(None, None, 0, **kernel))
+    M_red = plan.reduce(forms.assemble_velocity_h1(fe))
     lu, shift, below = _shifted_lu(lambda s: (A_red - s * M_red).tocsc(),
                                    estimate, lambda d: int((d < 0).sum()), 0)
     lam, solves = _smallest_eig(M_red, lu.solve, shift,
                                 None if below is None else NCV)
-    floor = _zero_floor(n)
-    return SpectralReport(constant=_snap(lam, floor), mesh_size=mesh.mesh_size(),
-                          n_dofs=n, alpha_descriptor=_alpha_descriptor(alpha),
-                          floor=floor, detail=_detail(
-                              shift, below, solves, raw_eigenvalue=lam))
+    return _report(mesh, alpha, lam, n, _detail(shift, below, solves, **kernel))
 
 
-def infsup_constant(mesh, alpha=0.0, cross_check=False, estimate=None):
+def infsup_constant(mesh, alpha=0.0, estimate=None):
     """Discrete inf-sup constant of the divergence/velocity-H1 pairing.
 
     gamma = min over mean-free pressures of
@@ -186,14 +189,12 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False, estimate=None):
     Linear Algebra Appl. 1, 1968).  Each solve is projected
     M_p-orthogonally off the constant pressure, the eigenvalue-0 mode.
     That deflation is exact only if ``B^T 1 = 0``: a mesh with ``|B^T 1|``
-    above the rank floor times ``max |B|`` (a curvature-tagged rim with
-    unequal edges) raises ``InvalidArgument``.  A minimum below the floor
-    is reported as 0, with two zero modes.
+    above ``100 n_p eps max |B|`` (a curvature-tagged rim with unequal
+    edges) raises ``InvalidArgument``.
 
     Neither the pairing nor the constrained space depends on the friction
     coefficient, so the report is bitwise identical across any alpha sweep;
-    alpha only labels the report.  ``cross_check`` adds the dense ``eigh``
-    of the formed ``S`` as ``detail["dense_oracle"]``.
+    alpha only labels the report.
     """
     fe = fem.build_taylor_hood(mesh)
     plan = fe.slip_plan()
@@ -201,10 +202,9 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False, estimate=None):
     B = forms.assemble_divergence(fe) @ plan.basis
     Mp = forms.assemble_pressure_mass(fe)
     n_p, n_vel = B.shape
-    floor = _zero_floor(n_p)
     ones = np.ones(n_p)
     leak = np.abs(B.T @ ones).max()
-    if leak > floor * abs(B).max():
+    if leak > 100.0 * n_p * EPS * abs(B).max():
         raise InvalidArgument("constant pressure outside ker B^T: "
                               f"|B^T 1| = {leak:.2e}")
     lu, shift, below = _shifted_lu(
@@ -220,16 +220,8 @@ def infsup_constant(mesh, alpha=0.0, cross_check=False, estimate=None):
 
     lam, solves = _smallest_eig(Mp, solve, shift,
                                 None if below is None else NCV)
-    lam = _snap(lam, floor)
-    detail = _detail(shift, below, solves, zero_modes=1 + int(lam == 0.0))
-    if cross_check:
-        S = B @ scipy.linalg.solve(K.toarray(), B.T.toarray(), assume_a="pos")
-        vals = scipy.linalg.eigh(S, Mp.toarray(), eigvals_only=True)
-        detail["dense_oracle"] = float(np.sqrt(vals[vals > floor][0]))
-    return SpectralReport(constant=float(np.sqrt(lam)),
-                          mesh_size=mesh.mesh_size(), n_dofs=n_vel,
-                          alpha_descriptor=_alpha_descriptor(alpha),
-                          floor=floor, detail=detail)
+    return _report(mesh, alpha, float(np.sqrt(lam)), n_vel,
+                   _detail(shift, below, solves))
 
 
 def _rank_one_smallest(g, M, lu):
@@ -273,7 +265,6 @@ def beta_inequality_checks(mesh):
     del mass
     g_bnd = P.T @ forms.boundary_rotation_functional(fe)
     n = M_l2.shape[0]
-    floor = _zero_floor(n)
 
     # One factorization of the shifted operator serves both functionals;
     # it is the only copy of the strain form left when SuperLU runs.
@@ -282,10 +273,6 @@ def beta_inequality_checks(mesh):
     reports = {}
     for name, g in (("volume", g_vol), ("boundary", g_bnd)):
         lam, solves = _rank_one_smallest(g, M_l2, lu)
-        constant = _snap(lam, floor)
-        reports[name] = SpectralReport(
-            constant=constant, mesh_size=mesh.mesh_size(), n_dofs=n,
-            alpha_descriptor="0", floor=floor, detail=_detail(
-                SIGMA, None, solves, optimal_inequality_constant=(
-                    1.0 / constant if constant else np.inf)))
+        reports[name] = _report(mesh, 0.0, lam, n, _detail(
+            SIGMA, None, solves, optimal_inequality_constant=1.0 / lam))
     return reports

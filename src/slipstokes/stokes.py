@@ -79,6 +79,18 @@ def _rotation_pairing(fe, ell):
             float(np.linalg.norm(ell) * np.linalg.norm(beta)) or 1.0)
 
 
+def require_compatible(fe, ell):
+    """The rotation pairing ``l(beta)`` of the load ``ell``;
+    ``IncompatibleData`` unless it is at most ``COMPAT_RTOL |l| |beta|``."""
+    defect, scale = _rotation_pairing(fe, ell)
+    if not abs(defect) <= COMPAT_RTOL * scale:
+        raise IncompatibleData(
+            f"rotation pairing of the data is {defect:.3e} "
+            f"(relative {abs(defect) / scale:.3e}); the frictionless "
+            "disk problem needs data orthogonal to the rigid rotation")
+    return defect
+
+
 def _solution(fe, plan, system, x, A_total, ell):
     """The :class:`Solution` ``x`` of ``system``, energy-gated on ``A_total``."""
     u, p, mult = plan.reconstruct(x)
@@ -130,12 +142,7 @@ def _friction_solves(fe, data, alphas, plan):
         if guarded:
             # The guard multiplier would silently absorb an incompatible
             # load, so reject data whose rotation pairing is not zero.
-            defect, scale = _rotation_pairing(fe, ell)
-            if not abs(defect) <= COMPAT_RTOL * scale:
-                raise IncompatibleData(
-                    f"rotation pairing of the data is {defect:.3e} "
-                    f"(relative {abs(defect) / scale:.3e}); the frictionless "
-                    "disk problem needs data orthogonal to the rigid rotation")
+            require_compatible(fe, ell)
         bordered = border(run[0][1], B, ell)
         factors, x = Factors(), None
         for k, (alpha, p) in enumerate(run, 1):

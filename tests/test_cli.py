@@ -58,6 +58,13 @@ class TestSolveCommands:
         assert code == 1
         assert "kernel" in err or "compatibility_mode" in err
 
+    def test_disk_drive_on_the_disk(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "solve-stokes", "--domain", "disk",
+                           "--level", "1", "--data", "disk-drive",
+                           "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["h1_norm"] > 0.0
+
     def test_disk_drive_requires_disk_domain(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve-stokes", "--data", "disk-drive",
                            "--out", str(tmp_path))
@@ -215,6 +222,41 @@ class TestExperimentCommand:
         code, _, _ = run(capsys, "experiment", "mms",
                          "--config", "/nope/run.ini")
         assert code == 2
+
+
+class TestStudyDefaults:
+    """Flags left unset reach ``ExperimentConfig.validate`` as None, which
+    resolves them; the study itself is not run."""
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        configs = []
+
+        def validate_only(cfg):
+            configs.append(cfg.validate())
+            return experiments.RunReport(cfg.kind, ("level",), [], {}, {}, {},
+                                         {})
+        monkeypatch.setattr(cli, "run_experiment", validate_only)
+        return configs
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["experiment", "compat_disk"], ("disk", (1, 2, 3))),
+        (["experiment", "mms", "--domain", "disk"], ("disk", (1, 2, 3))),
+        (["experiment", "mms"], ("square", (8, 16, 32))),
+        (["spectra", "--domain", "disk"], ("disk", (1, 2, 3))),
+        (["spectra"], ("square", (8, 16, 32)))])
+    def test_flags(self, capsys, resolved, argv, expected):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert (resolved[0].domain, resolved[0].levels) == expected
+
+    def test_disk_config_file(self, capsys, resolved, tmp_path):
+        ini = tmp_path / "disk.ini"
+        ini.write_text("[domain]\nkind = disk\n")
+        code, _, _ = run(capsys, "experiment", "spectra_suite",
+                         "--config", str(ini))
+        assert code == 0
+        assert (resolved[0].domain, resolved[0].levels) == ("disk", (1, 2, 3))
 
 
 class TestSpectraCommand:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from slipstokes import fem
-from slipstokes.errors import InvalidArgument
+from slipstokes import experiments, fem, make_unit_square, stokes_mms
+from slipstokes.errors import IncompatibleData, InvalidArgument, MaxIterations
 from slipstokes.experiments import (KINDS, ExperimentConfig, fit_rate,
                                     parse_config, run_experiment,
                                     write_report)
+from slipstokes.fields import ProblemData, rigid_rotation
+from slipstokes.stokes import solve_friction_sweep
 
 
 @pytest.fixture
@@ -148,6 +150,26 @@ dir = out
         with pytest.raises(InvalidArgument, match="bad value"):
             parse_config(str(bad_value))
 
+    @pytest.mark.parametrize("kind,domain,resolved", [
+        ("compat_disk", None, ("disk", (1, 2, 3))),
+        ("spectra_suite", None, ("square", (8, 16, 32))),
+        ("mms", "disk", ("disk", (1, 2, 3))),
+        ("spectra_suite", "disk", ("disk", (1, 2, 3))),
+        ("compat_disk", "square", ("square", (8, 16, 32)))])
+    def test_defaults_resolved_by_validate(self, kind, domain, resolved):
+        cfg = ExperimentConfig(kind=kind, domain=domain).validate()
+        assert (cfg.domain, cfg.levels) == resolved
+
+    def test_explicit_levels_kept(self):
+        cfg = ExperimentConfig(kind="compat_disk", levels=(0, 4)).validate()
+        assert (cfg.domain, cfg.levels) == ("disk", (0, 4))
+
+    def test_disk_config_without_levels_gets_disk_levels(self, tmp_path):
+        path = tmp_path / "disk.ini"
+        path.write_text("[domain]\nkind = disk\n")
+        cfg, _ = parse_config(str(path), kind="spectra_suite")
+        assert cfg.validate().levels == (1, 2, 3)
+
     def test_parse_config_missing_file(self):
         with pytest.raises(InvalidArgument, match="not found"):
             parse_config("/nonexistent/run.ini")
@@ -276,6 +298,57 @@ def test_ns_limits_propagates_programming_errors(monkeypatch):
     cfg = ExperimentConfig(kind="ns_limits", levels=(4,), alpha_schedule=(1.0,))
     with pytest.raises(TypeError, match="broken solver"):
         run_experiment(cfg)
+
+
+def test_ns_limits_records_a_failed_solve(monkeypatch):
+    # A solver failure becomes a "not converged" row: NaN distances, zero
+    # iterations, and False in report.csv.
+    solve = experiments.solve_navier_stokes
+
+    def failing_at_10(mesh, data, **kwargs):
+        if data.alpha == 10.0:
+            raise MaxIterations("no contraction")
+        return solve(mesh, data, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_navier_stokes", failing_at_10)
+    cfg = ExperimentConfig(kind="ns_limits", levels=(2,),
+                           alpha_schedule=(1.0, 10.0))
+    report = run_experiment(cfg)
+    assert report.rows[0][4] is True
+    assert report.rows[1][0] == 10.0 and report.rows[1][3:] == (0, False)
+    assert np.isnan(report.rows[1][1]) and np.isnan(report.rows[1][2])
+    assert report.to_csv().splitlines()[2] == "10,nan,nan,0,False"
+    assert report.fits["achieved_range"]["max"] == 1.0
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-12])
+def test_compat_disk_refuses_incompatible_data(monkeypatch, amplitude):
+    # The guarded solve's relative rule: a load along the rotation is
+    # refused at any scale, before anything is solved.
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved incompatible data")
+
+    def along_rotation(p):
+        return amplitude * rigid_rotation().value(p)
+
+    monkeypatch.setattr(experiments, "disk_compatible_forcing",
+                        lambda alpha: ProblemData(f=along_rotation, alpha=alpha))
+    monkeypatch.setattr(experiments, "solve_stokes", refuse)
+    with pytest.raises(IncompatibleData, match="rotation pairing"):
+        run_experiment(ExperimentConfig(kind="compat_disk", domain="disk",
+                                        levels=(1,)))
+
+
+def test_sweep_mms_selector():
+    # The manufactured data replaces the sweep forcing.
+    rows = {data: run_experiment(ExperimentConfig(
+        kind="uniform_bound", levels=(4,), alpha=2.0, data=data,
+        alpha_schedule=(1.0, 2.0))).rows for data in ("default", "mms")}
+    assert rows["mms"] != rows["default"]
+    case = stokes_mms(alpha=2.0)["data"]
+    expected = solve_friction_sweep(make_unit_square(4), case, [1.0, 2.0])[0]
+    assert [r[2] for r in rows["mms"]] == [
+        s.diagnostics["h1_norm"] for s in expected]
 
 
 def test_ns_limits_zero_amplitude_has_no_relative_gap():

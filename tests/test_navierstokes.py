@@ -384,6 +384,17 @@ class TestSmallness:
         s2 = smallness_indicator(mesh, doubled, n_triples=40, seed=3)
         assert s2 == pytest.approx(2.0 * s1, rel=1e-10)
 
+    def test_indicator_linear_in_flux_data(self):
+        # Only F: its L2 norm is the whole data term.
+        F = np.array([[0.3, -0.1], [0.2, 0.4]])
+        mesh = make_unit_square(4)
+        s1 = smallness_indicator(mesh, ProblemData(F=F, alpha=1.0),
+                                 n_triples=40, seed=3)
+        s2 = smallness_indicator(mesh, ProblemData(F=2.0 * F, alpha=1.0),
+                                 n_triples=40, seed=3)
+        assert s1 > 0.0
+        assert s2 == pytest.approx(2.0 * s1, rel=1e-10)
+
     @pytest.mark.parametrize("F", [np.eye(3), lambda p: np.zeros((len(p), 2))],
                              ids=["constant-3x3", "callable-k2"])
     def test_malformed_matrix_field_refused(self, F):

@@ -104,6 +104,18 @@ class TestSnapshots:
             write_solution(tmp_path / "x.bin", np.zeros((2, 2)), np.zeros(2))
 
 
+class TestAtomicWrite:
+    def test_failed_replace_leaves_no_temporary(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        path = tmp_path / "sol.bin"
+        with pytest.raises(OSError, match="replace refused"):
+            write_solution(path, *sample_arrays())
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRegistry:
     def test_store_and_reload(self, tmp_path):
         u, p = sample_arrays(seed=1)

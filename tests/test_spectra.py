@@ -12,9 +12,11 @@ from slipstokes import (beta_inequality_checks, experiments, fem, forms,
 from slipstokes.constraints import build_constraint_plan
 from slipstokes.errors import InvalidArgument
 from slipstokes.experiments import ExperimentConfig
-from slipstokes.fields import ProblemData
+from slipstokes.fields import ProblemData, rigid_rotation
 from slipstokes.mesh import TriMesh
 from slipstokes.saddle import symmetric_lu
+
+EPS = np.finfo(float).eps
 
 
 def _mesh(domain, level):
@@ -30,6 +32,32 @@ def _dense_smallest(A, M):
     vals = scipy.linalg.eigh(A, M.toarray(), eigvals_only=True,
                              subset_by_index=[0, 0])
     return float(vals[0])
+
+
+def _shifted_korn_factor(mesh, shift):
+    """``perm_r``, ``perm_c`` and U's diagonal of the frictionless reduced
+    ``A - shift * M`` of ``korn_quotient_min``."""
+    fe = fem.build_taylor_hood(mesh)
+    plan = fe.slip_plan()
+    A = plan.reduce(forms.assemble_viscous(fe))
+    M = plan.reduce(forms.assemble_velocity_h1(fe))
+    lu = symmetric_lu((A - shift * M).tocsc())
+    return lu.perm_r, lu.perm_c, lu.U.diagonal()
+
+
+def _perturbed_rim_disk():
+    """Disk 2 with its rim vertices moved along the circle to unequal edges."""
+    disk = make_disk(2)
+    vertices = disk.vertices.copy()
+    rim = disk.boundary_edges[:, 0]
+    theta = np.arctan2(vertices[rim, 1], vertices[rim, 0])
+    theta += 0.08 * np.sin(3 * theta)
+    vertices[rim] = np.column_stack([np.cos(theta), np.sin(theta)])
+    mids = vertices[disk.boundary_edges].mean(axis=1)
+    return TriMesh(vertices, disk.triangles, disk.boundary_edges,
+                   disk.boundary_markers,
+                   mids / np.hypot(mids[:, 0], mids[:, 1])[:, None],
+                   disk.boundary_kappa, disk.domain_tag)
 
 
 def _counting_lu(calls):
@@ -61,11 +89,71 @@ class TestKorn:
 
     def test_disk_frictionless_kernel(self):
         # The interpolated rigid rotation satisfies every constraint
-        # exactly, so the quotient floor snaps the constant to zero.
+        # exactly, so it certifies the zero without a Lanczos run.
         for level in (0, 1, 2, 3):
             rep = korn_quotient_min(make_disk(level))
             assert rep.constant == 0.0
-            assert rep.detail["raw_eigenvalue"] < rep.floor
+            assert rep.detail["kernel_defect"] <= rep.n_dofs * EPS
+            assert rep.detail["lanczos_solves"] == 0
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.8, 1e5])
+    def test_disk_kernel_at_any_radius(self, radius):
+        # At radius 1e5 the old rank floor missed the kernel: Lanczos read
+        # 2.83e-10 after 91 solves.
+        rep = korn_quotient_min(make_disk(3, radius))
+        assert rep.constant == 0.0
+        assert rep.detail["kernel_defect"] <= rep.n_dofs * EPS
+        assert rep.detail["lanczos_solves"] == 0
+
+    def test_guard_tolerance_friction_is_the_kernel(self):
+        # alpha = 1e-14 is at the solver's guard tolerance, so the plan
+        # carries the guard and the rotation certifies the zero.
+        rep = korn_quotient_min(make_disk(2), alpha=1e-14)
+        assert rep.constant == 0.0
+        assert rep.detail["kernel_defect"] <= rep.n_dofs * EPS
+        assert rep.detail["lanczos_solves"] == 0
+
+    def test_small_friction_is_not_the_kernel(self):
+        # Above the guard tolerance the constant is alpha's, not a snapped
+        # zero.  The dense value carries rounding of about eps |A| too:
+        # the rotation's Rayleigh quotient, an upper bound, lies 4.6e-4
+        # below it.
+        mesh = make_disk(2)
+        fe = fem.build_taylor_hood(mesh)
+        plan = fe.slip_plan()
+        A = plan.reduce(forms.assemble_viscous(fe)
+                        + forms.assemble_friction(fe, 1e-11))
+        expected = _dense_smallest(A.toarray(),
+                                   plan.reduce(forms.assemble_velocity_h1(fe)))
+        rep = korn_quotient_min(mesh, alpha=1e-11)
+        assert "kernel_defect" not in rep.detail
+        assert abs(rep.constant - expected) <= 1e-3 * expected
+
+    def test_small_friction_on_disk_5(self):
+        # The old rank floor (5.5e-10) reported 0 here.  The interpolated
+        # rotation's Rayleigh quotient bounds the minimum from above and,
+        # the zero eigenvalue being simple, matches it to first order in
+        # alpha.
+        mesh = make_disk(5)
+        fe = fem.build_taylor_hood(mesh)
+        plan = fe.slip_plan()
+        b = plan.basis.T @ fem.interpolate(fe, rigid_rotation().value)
+        A = plan.reduce(forms.assemble_viscous(fe)
+                        + forms.assemble_friction(fe, 1e-10))
+        M = plan.reduce(forms.assemble_velocity_h1(fe))
+        quotient = (b @ (A @ b)) / (b @ (M @ b))
+        rep = korn_quotient_min(mesh, alpha=1e-10)
+        assert rep.constant > 0.0
+        assert abs(rep.constant - quotient) <= 1e-2 * quotient
+
+    def test_guarded_plan_outside_the_kernel_runs_lanczos(self):
+        # Unequal rim edges: the rotation no longer meets the nodal
+        # constraints, fails the certificate and Lanczos finds the
+        # minimum, as the dense pencil does.
+        rep = korn_quotient_min(_perturbed_rim_disk())
+        assert rep.detail["kernel_defect"] > rep.n_dofs * EPS
+        assert rep.detail["lanczos_solves"] > 0
+        assert rep.constant == pytest.approx(3.694e-4, rel=1e-3)
 
     def test_disk_friction_restores_coercivity(self):
         for level in (1, 2, 3):
@@ -77,8 +165,17 @@ class TestKorn:
         assert rep.n_dofs > 0
         assert rep.mesh_size > 0.0
         assert rep.alpha_descriptor == "2"
-        assert set(rep.detail) == {"raw_eigenvalue", "shift", "below_shift",
-                                   "lanczos_solves"}
+        assert set(rep.detail) == {"shift", "below_shift", "lanczos_solves"}
+
+    @pytest.mark.parametrize("alpha,descriptor", [
+        (lambda p: np.full(len(p), 2.0), "callable"),
+        ({marker: 2.0 for marker in (1, 2, 3, 4)}, "per-marker")])
+    def test_friction_descriptors(self, alpha, descriptor):
+        mesh = make_unit_square(4)
+        rep = korn_quotient_min(mesh, alpha=alpha)
+        assert rep.alpha_descriptor == descriptor
+        scalar = korn_quotient_min(mesh, alpha=2.0).constant
+        assert abs(rep.constant - scalar) <= 1e-12 * scalar
 
 
 class TestInfSup:
@@ -95,43 +192,34 @@ class TestInfSup:
             other = infsup_constant(make_unit_square(4), alpha=alpha).constant
             assert abs(other - base) <= 1e-10 * base
 
-    def test_dense_cross_check(self):
-        rep = infsup_constant(make_unit_square(4), cross_check=True)
-        assert abs(rep.detail["dense_oracle"] - rep.constant) <= 1e-8
+    def test_dense_cross_check(self, dense_infsup):
+        mesh = make_unit_square(4)
+        dense, _ = dense_infsup(mesh)
+        assert abs(dense - infsup_constant(mesh).constant) <= 1e-8
 
     @pytest.mark.parametrize("domain,level", [
         ("square", 1), ("square", 2), ("square", 8), ("disk", 0), ("disk", 3)])
-    def test_lanczos_matches_dense_oracle(self, domain, level):
+    def test_lanczos_matches_dense_oracle(self, dense_infsup, domain, level):
         # The deflated Lanczos minimum is the dense pencil's smallest
         # eigenvalue above the hydrostatic zero.
-        rep = infsup_constant(_mesh(domain, level), cross_check=True)
-        assert abs(rep.detail["dense_oracle"] - rep.constant) <= 1e-10 * rep.constant
-        assert rep.detail["zero_modes"] == 1
+        mesh = _mesh(domain, level)
+        rep = infsup_constant(mesh)
+        dense, zero_modes = dense_infsup(mesh)
+        assert abs(dense - rep.constant) <= 1e-10 * rep.constant
+        assert zero_modes == 1
 
     def test_refuses_constant_pressure_outside_kernel(self):
         # Rim vertices moved along the circle to unequal edges: the nodal
         # impermeability constraints no longer make the mean flux vanish,
         # so B^T 1 != 0 and the deflation would not be exact.
-        disk = make_disk(2)
-        vertices = disk.vertices.copy()
-        rim = disk.boundary_edges[:, 0]
-        theta = np.arctan2(vertices[rim, 1], vertices[rim, 0])
-        theta += 0.08 * np.sin(3 * theta)
-        vertices[rim] = np.column_stack([np.cos(theta), np.sin(theta)])
-        mids = vertices[disk.boundary_edges].mean(axis=1)
-        mesh = TriMesh(vertices, disk.triangles, disk.boundary_edges,
-                       disk.boundary_markers,
-                       mids / np.hypot(mids[:, 0], mids[:, 1])[:, None],
-                       disk.boundary_kappa, disk.domain_tag)
         with pytest.raises(InvalidArgument):
-            infsup_constant(mesh)
+            infsup_constant(_perturbed_rim_disk())
 
-    def test_minimum_below_floor_snaps_to_zero(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_smallest_eig", lambda M, solve, *shift: (
-            0.5 * spectra._zero_floor(M.shape[0]), 0))
-        rep = infsup_constant(make_unit_square(2))
-        assert rep.constant == 0.0
-        assert rep.detail["zero_modes"] == 2
+    def test_large_disk_is_not_snapped(self):
+        # gamma scales like 1 / radius: gamma * R reads 1.8536 at R = 1e5
+        # and 1e6.  The old rank floor reported 0 at R = 1e7.
+        rep = infsup_constant(make_disk(2, 1e7))
+        assert rep.constant == pytest.approx(1.853e-7, rel=1e-3)
 
     def test_disk_also_stable(self):
         c1 = infsup_constant(make_disk(1)).constant
@@ -187,9 +275,10 @@ class TestShiftInvertPaths:
         rep = korn_quotient_min(mesh, alpha=alpha)
         assert _same_random_state(state, np.random.get_state())
         if domain == "disk" and not friction:
-            assert abs(expected) < rep.floor
+            assert abs(expected) < 100.0 * rep.n_dofs * EPS
             assert rep.constant == 0.0
-            assert rep.detail["raw_eigenvalue"] < rep.floor
+            assert rep.detail["kernel_defect"] <= rep.n_dofs * EPS
+            assert rep.detail["lanczos_solves"] == 0
         else:
             assert abs(rep.constant - expected) <= 1e-10 * expected
 
@@ -241,7 +330,9 @@ class TestFactorizations:
         monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", refuse)
         monkeypatch.setattr(spectra, "symmetric_lu", _counting_lu(calls))
         mesh = make_disk(2)
-        korn_quotient_min(mesh)
+        korn_quotient_min(mesh)            # the certified kernel factors nothing
+        assert len(calls) == 0
+        korn_quotient_min(mesh, alpha=1.0)
         assert len(calls) == 1
         infsup_constant(mesh)
         assert len(calls) == 2
@@ -275,7 +366,7 @@ class TestStoppingRule:
         for name, value in converged.items():
             assert abs(stopped[name] - value) <= 1e-13 * abs(value), name
         if domain == "disk":
-            # The kernel still snaps to exactly zero.
+            # The kernel is still exactly zero.
             assert stopped["korn_no_friction"] == 0.0
 
     def test_cluster_resolved_to_the_tolerance(self, monkeypatch):
@@ -375,16 +466,22 @@ class TestSpectrumSlicing:
         mesh = _mesh(domain, level)
         for column, known in KNOWN.items():
             rep, factors = suites[domain][1][level][column]
-            if rep.detail["below_shift"] is None:
-                # Disk 0 opens its ladder at SIGMA: shift below its own
-                # constant.  The disk kernel (constant 0) stays at SIGMA;
-                # shift to 1e-3 to count its rotation.
-                factors = _recording_factors(monkeypatch)
-                rep = _constant(mesh, column, rep.constant or 1e-3)
-            kernel = rep.constant == 0.0
-            assert _count(column, factors[0], rep.n_dofs) == known + kernel
-            assert len(factors) == 1 + kernel     # the kernel refactors
-            assert rep.detail["below_shift"] == (None if kernel else known)
+            if rep.constant == 0.0:
+                # The certified disk kernel factors nothing.  Shifted to
+                # 1e-3, its pencil has exactly one eigenvalue below: the
+                # kernel is the rotation alone.
+                assert factors == [] and rep.detail["lanczos_solves"] == 0
+                factors = [_shifted_korn_factor(mesh, 1e-3)]
+                assert _count(column, factors[0], rep.n_dofs) == known + 1
+            else:
+                if rep.detail["below_shift"] is None:
+                    # Disk 0 opens its ladder at SIGMA: shift below its
+                    # own constant.
+                    factors = _recording_factors(monkeypatch)
+                    rep = _constant(mesh, column, rep.constant)
+                assert _count(column, factors[0], rep.n_dofs) == known
+                assert len(factors) == 1
+                assert rep.detail["below_shift"] == known
             # Every sign is read far above rounding.
             pivots = np.abs(factors[0][2])
             assert pivots.min() >= 1e-13 * pivots.max(), column
@@ -422,7 +519,8 @@ class TestSpectrumSlicing:
 
     def test_solve_budget_of_the_benchmark_suites(self, monkeypatch):
         # The two suites of the disk_kernel workload; every run at SIGMA
-        # with ARPACK's default Krylov space spends 870 solves.
+        # with ARPACK's default Krylov space spends 870 solves.  The four
+        # certified disk kernels run none.
         solves = []
         smallest = spectra._smallest_eig
 
@@ -434,8 +532,8 @@ class TestSpectrumSlicing:
         for domain, levels in (("disk", (1, 2, 3, 4)), ("square", (8, 16, 32))):
             run_experiment(ExperimentConfig(kind="spectra_suite", domain=domain,
                                             levels=levels, alpha=1.0))
-        assert len(solves) == 21
-        assert sum(solves) <= 460
+        assert len(solves) == 17
+        assert sum(solves) <= 351
 
     def test_rotation_moments_at_sigma_on_a_small_space(self):
         for rep in beta_inequality_checks(make_disk(3)).values():

@@ -20,8 +20,9 @@ from slipstokes.errors import (IncompatibleData, InvalidArgument,
 from slipstokes.saddle import symmetric_lu
 from slipstokes.fem import velocity_error_h1, pressure_error_l2
 from slipstokes.fields import ClosedFormField
-from slipstokes.stokes import (boundary_identity_defect, check_compatibility,
-                               energy_report, exponent_r, exponent_t)
+from slipstokes.stokes import (EXPONENT_EPS, boundary_identity_defect,
+                               check_compatibility, energy_report, exponent_r,
+                               exponent_t)
 
 
 def fit_slope(h, e):
@@ -390,6 +391,10 @@ class TestExponents:
     def test_reference_values_exact(self):
         assert exponent_r(2.0) == 6.0 / 5.0
         assert exponent_t(2.0) == 2.0
+
+    def test_critical_force_exponent_is_strict(self):
+        # 3p/(p+3) = 1 at p = 3/2, where the inequality is strict.
+        assert exponent_r(1.5) == 1.0 + EXPONENT_EPS
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(11)

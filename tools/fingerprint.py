@@ -6,7 +6,9 @@
 Prints one JSON object of SHA-256 digests:
 
 * ``report.csv`` of each experiment kind at its defaults (``compat_disk``
-  on disk levels 1-3, as the command line runs it);
+  on disk levels 1-3, as the command line runs it), and of
+  ``spectra_suite`` on disk levels 1-4 (radius 1, alpha 1), where the
+  frictionless Korn constant is the disk's kernel;
 * the run id and the sidecar of three command line solves: the default
   ``solve-stokes``, ``solve-ns --data mms`` and the guarded
   ``solve-stokes --domain disk --level 3 --alpha 0 --data disk-compatible``;
@@ -61,6 +63,9 @@ def _report_digests():
         if kind == "compat_disk":
             cfg.domain, cfg.levels = "disk", (1, 2, 3)
         out[kind] = _sha(run_experiment(cfg).to_csv())
+    out["spectra_suite_disk"] = _sha(run_experiment(ExperimentConfig(
+        kind="spectra_suite", domain="disk", levels=(1, 2, 3, 4),
+        alpha=1.0)).to_csv())
     return out
 
 
