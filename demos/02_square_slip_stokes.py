@@ -29,8 +29,8 @@ for n in (8, 16, 32, 64):
     else:
         ru = np.log(prev[0] / eu) / np.log(2.0)
         rp = np.log(prev[1] / ep) / np.log(2.0)
-    defect = sol.diagnostics["energy_residual"] / max(
-        abs(sol.diagnostics["energy_lhs"]), 1.0)
+    defect = (sol.diagnostics["energy_residual"]
+              / sol.diagnostics["energy_scale"])
     print(f"{n:>4} {1.0 / n:>8.4f} {eu:>16.6e} {ru:>6.2f} "
           f"{ep:>16.6e} {rp:>6.2f} {defect:>14.2e}")
     prev = (eu, ep)

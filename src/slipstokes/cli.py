@@ -16,17 +16,14 @@ missing inputs, an output path that cannot be written).
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import (IncompatibleData, InvalidArgument, MaxIterations,
                      NumericalError, ParseError, SingularSystem)
 from .experiments import (KINDS, ExperimentConfig, parse_config,
                           run_experiment, write_report)
-from .fields import (ProblemData, disk_compatible_forcing,
-                     disk_tangential_drive, navier_stokes_mms, stokes_mms,
-                     sweep_forcing)
-from .mesh import make_disk, make_unit_square, write_mesh
+from .fields import DATA_SELECTORS, select_data
+from .mesh import make_mesh, write_mesh
 from .navierstokes import PicardOptions, solve_navier_stokes
 from .persistence import store_run
 from .stokes import solve_stokes
@@ -34,8 +31,6 @@ from .stokes import solve_stokes
 _SOLVER_ERRORS = (SingularSystem, NumericalError, MaxIterations,
                   IncompatibleData)
 _CONFIG_ERRORS = (InvalidArgument, ParseError, OSError)
-
-DATA_CHOICES = ("sweep", "mms", "disk-drive", "disk-compatible")
 
 
 def _int_list(text):
@@ -74,11 +69,12 @@ def build_parser():
         solve.add_argument("--level", type=int, default=8)
         solve.add_argument("--radius", type=float, default=1.0)
         solve.add_argument("--alpha", type=float, default=1.0)
-        solve.add_argument("--data", choices=DATA_CHOICES, default="sweep")
+        solve.add_argument("--data", choices=DATA_SELECTORS, default="sweep")
         solve.add_argument("--amplitude", type=float, default=None)
         solve.add_argument("--compat", action="store_true",
-                           help="assert the data satisfies the rotational "
-                                "compatibility condition")
+                           help="solve in compatibility mode: on the "
+                                "frictionless disk, guard the rotation and "
+                                "refuse data that pairs with it")
         solve.add_argument("--out", required=True,
                            help="run store directory")
         if name == "solve-ns":
@@ -104,43 +100,8 @@ def build_parser():
     return parser
 
 
-def _problem_data(args):
-    amp = args.amplitude
-    if amp is not None and not math.isfinite(amp):
-        raise InvalidArgument(f"amplitude must be finite, got {amp}")
-    if args.data == "sweep":
-        base = sweep_forcing()
-        return ProblemData(f=base.f, F=base.F, h=base.h, alpha=args.alpha,
-                           compatibility_mode=args.compat)
-    if args.data == "mms":
-        if args.command == "solve-ns":
-            case = navier_stokes_mms(
-                alpha=args.alpha, amplitude=0.15 if amp is None else amp)
-        else:
-            case = stokes_mms(alpha=args.alpha,
-                              amplitude=1.0 if amp is None else amp)
-        return case["data"]
-    if args.data == "disk-drive":
-        if args.domain != "disk":
-            raise InvalidArgument("disk-drive data needs --domain disk")
-        return disk_tangential_drive(alpha=args.alpha)["data"]
-    if args.data == "disk-compatible":
-        if args.domain != "disk":
-            raise InvalidArgument("disk-compatible data needs --domain disk")
-        base = disk_compatible_forcing(alpha=args.alpha)
-        return ProblemData(f=base.f, F=base.F, h=base.h, alpha=base.alpha,
-                           compatibility_mode=True)
-    raise InvalidArgument(f"unknown data selector {args.data!r}")
-
-
-def _make_mesh_from_args(args):
-    if args.domain == "square":
-        return make_unit_square(args.level)
-    return make_disk(args.level, args.radius)
-
-
 def _cmd_mesh(args):
-    mesh = _make_mesh_from_args(args)
+    mesh = make_mesh(args.domain, args.level, args.radius)
     write_mesh(args.out, mesh)
     print(json.dumps({"vertices": int(len(mesh.vertices)),
                       "triangles": int(len(mesh.triangles)),
@@ -150,8 +111,9 @@ def _cmd_mesh(args):
 
 
 def _cmd_solve_stokes(args):
-    mesh = _make_mesh_from_args(args)
-    data = _problem_data(args)
+    mesh = make_mesh(args.domain, args.level, args.radius)
+    data = select_data(args.data, args.domain, args.alpha, args.amplitude,
+                       args.compat)
     solution = solve_stokes(mesh, data)
     entry = store_run(args.out, "stokes", solution.u, solution.p,
                       solution.diagnostics)
@@ -162,8 +124,9 @@ def _cmd_solve_stokes(args):
 
 
 def _cmd_solve_ns(args):
-    mesh = _make_mesh_from_args(args)
-    data = _problem_data(args)
+    mesh = make_mesh(args.domain, args.level, args.radius)
+    data = select_data(args.data, args.domain, args.alpha, args.amplitude,
+                       args.compat, nonlinear=True)
     options = PicardOptions(max_iterations=args.max_iterations,
                             tol=args.tol, damping=args.damping)
     solution, log = solve_navier_stokes(mesh, data, options=options)

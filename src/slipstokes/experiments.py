@@ -34,9 +34,9 @@ from . import fem, forms
 from .constraints import build_dirichlet_plan
 from .errors import (InvalidArgument, MaxIterations, NumericalError,
                      SingularSystem)
-from .fields import (ProblemData, disk_compatible_forcing, navier_stokes_mms,
-                     stokes_mms, sweep_forcing)
-from .mesh import make_disk, make_unit_square
+from .fields import (ProblemData, check_amplitude, disk_compatible_forcing,
+                     mms_case, select_data)
+from .mesh import make_mesh
 from .navierstokes import PicardOptions, solve_navier_stokes
 from .spectra import infsup_constant, korn_quotient_min
 from .stokes import require_compatible, solve_friction_sweep, solve_stokes
@@ -82,10 +82,7 @@ class ExperimentConfig:
         values = np.array([self.alpha, *self.alpha_schedule], dtype=float)
         if not (np.isfinite(values) & (values >= 0.0)).all():
             raise InvalidArgument("friction values must be finite and nonnegative")
-        # Beyond these magnitudes errors and energies underflow or overflow.
-        if self.amplitude and not 1e-100 <= abs(self.amplitude) <= 1e100:
-            raise InvalidArgument("amplitude must be 0 or finite in magnitude "
-                                  f"[1e-100, 1e100], got {self.amplitude}")
+        check_amplitude(self.amplitude)
         return self
 
 
@@ -174,12 +171,6 @@ def fit_rate(x, y):
             "points_used": int(keep.sum())}
 
 
-def _make_mesh(cfg, level):
-    if cfg.domain == "square":
-        return make_unit_square(level)
-    return make_disk(level, cfg.radius)
-
-
 def _timed(wall, key, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with its wall time stored as ``wall[key]``."""
     t0 = time.perf_counter()
@@ -193,7 +184,7 @@ def _ladder(cfg, cells):
     wall, rows = {}, []
     for level in cfg.levels:
         t0 = time.perf_counter()
-        mesh = _make_mesh(cfg, level)
+        mesh = make_mesh(cfg.domain, level, cfg.radius)
         row = (level, mesh.mesh_size(), *cells(mesh))
         wall[f"level_{level}"] = time.perf_counter() - t0
         rows.append(row)
@@ -221,8 +212,7 @@ def _mms_study(cfg, case, columns, solve):
 
 
 def run_mms(cfg):
-    case = stokes_mms(alpha=cfg.alpha, amplitude=(
-        1.0 if cfg.amplitude is None else cfg.amplitude))
+    case = mms_case(cfg.alpha, cfg.amplitude)
 
     def solve(mesh):
         sol = solve_stokes(mesh, case["data"])
@@ -231,12 +221,9 @@ def run_mms(cfg):
     return _mms_study(cfg, case, ("energy_residual",), solve)
 
 
-def _sweep_data(cfg):
-    if cfg.data in ("default", "sweep"):
-        return sweep_forcing()
-    if cfg.data == "mms":
-        return stokes_mms(alpha=cfg.alpha)["data"]
-    raise InvalidArgument(f"unknown data selector {cfg.data!r}")
+def _sweep_data(cfg, compat=False):
+    return select_data("sweep" if cfg.data == "default" else cfg.data,
+                       cfg.domain, cfg.alpha, cfg.amplitude, compat=compat)
 
 
 def _finest(cfg, schedule):
@@ -245,7 +232,7 @@ def _finest(cfg, schedule):
     The caller holds the system through the sweep, so every solve on the
     mesh shares it.
     """
-    mesh = _make_mesh(cfg, cfg.levels[-1])
+    mesh = make_mesh(cfg.domain, cfg.levels[-1], cfg.radius)
     return mesh, fem.build_taylor_hood(mesh), cfg.alpha_schedule or schedule
 
 
@@ -254,9 +241,7 @@ def run_alpha_to_zero(cfg):
     wall = {}
     mesh, fe, schedule = _finest(cfg, tuple(2.0 ** (-k) for k in range(2, 13)))
     H1 = forms.assemble_velocity_h1(fe)
-    base = _sweep_data(cfg)
-
-    data = ProblemData(f=base.f, F=base.F, h=base.h, compatibility_mode=True)
+    data = _sweep_data(cfg, compat=True)
     (sol0, *sols), (krylov0, *krylov) = _timed(
         wall, "sweep", solve_friction_sweep, mesh, data, (0.0, *schedule))
     rows = [(float(alpha), forms.velocity_h1_norm(H1, sol.u - sol0.u),
@@ -302,9 +287,7 @@ def run_uniform_bound(cfg):
     """Solution size across a friction sweep; the ratio is the headline."""
     wall = {}
     mesh, fe, schedule = _finest(cfg, (0.0, 1e-2, 1.0, 1e2, 1e4, 1e6))
-    base = _sweep_data(cfg)
-
-    data = ProblemData(f=base.f, F=base.F, h=base.h, compatibility_mode=True)
+    data = _sweep_data(cfg, compat=True)
     sols, krylov = _timed(wall, "sweep", solve_friction_sweep, mesh, data,
                           schedule)
     rows = []
@@ -362,8 +345,7 @@ def run_spectra_suite(cfg):
 
 
 def run_ns_mms(cfg):
-    case = navier_stokes_mms(alpha=cfg.alpha, amplitude=(
-        0.15 if cfg.amplitude is None else cfg.amplitude))
+    case = mms_case(cfg.alpha, cfg.amplitude, nonlinear=True)
 
     def solve(mesh):
         sol, log = solve_navier_stokes(mesh, case["data"], options=cfg.picard)
@@ -377,9 +359,7 @@ def run_ns_limits(cfg):
     wall = {}
     mesh, fe, schedule = _finest(cfg, tuple(10.0 ** k for k in range(7)))
     H1 = forms.assemble_velocity_h1(fe)
-    case = navier_stokes_mms(alpha=1.0, amplitude=(
-        0.15 if cfg.amplitude is None else cfg.amplitude))
-    base = case["data"]
+    base = select_data("mms", cfg.domain, 1.0, cfg.amplitude, nonlinear=True)
 
     u_d = _timed(wall, "dirichlet_reference", solve_navier_stokes, mesh, base,
                  options=cfg.picard, plan=build_dirichlet_plan(fe))[0].u

@@ -16,7 +16,7 @@ re-derives them symbolically and checks every expression, so edit them
 only together with those oracles.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -270,3 +270,42 @@ def sweep_forcing():
         return np.column_stack([np.sin(PI * p[:, 1]), np.cos(PI * p[:, 0])])
 
     return ProblemData(f=f)
+
+
+def check_amplitude(amplitude):
+    """``InvalidArgument`` unless ``amplitude`` is None, 0 or of magnitude in
+    [1e-100, 1e100], beyond which norms and energies under- or overflow."""
+    if amplitude and not 1e-100 <= abs(amplitude) <= 1e100:
+        raise InvalidArgument("amplitude must be 0 or finite in magnitude "
+                              f"[1e-100, 1e100], got {amplitude}")
+
+
+def mms_case(alpha, amplitude=None, nonlinear=False):
+    """:func:`stokes_mms`, or :func:`navier_stokes_mms` when ``nonlinear``,
+    at its default amplitude when ``amplitude`` is None."""
+    case = navier_stokes_mms if nonlinear else stokes_mms
+    return case(alpha) if amplitude is None else case(alpha, amplitude)
+
+
+# Each selector's data from (alpha, amplitude, nonlinear).
+_SELECTORS = {
+    "sweep": lambda alpha, *_: replace(sweep_forcing(), alpha=alpha),
+    "mms": lambda *args: mms_case(*args)["data"],
+    "disk-drive": lambda alpha, *_: disk_tangential_drive(alpha)["data"],
+    "disk-compatible": lambda alpha, *_: disk_compatible_forcing(alpha),
+}
+DATA_SELECTORS = tuple(_SELECTORS)
+
+
+def select_data(selector, domain, alpha, amplitude=None, compat=False,
+                nonlinear=False):
+    """The :class:`ProblemData` named by ``selector`` on ``domain``, ``mms``
+    by :func:`mms_case`.  ``compat`` sets ``compatibility_mode`` for every
+    selector, and ``disk-compatible`` always does."""
+    check_amplitude(amplitude)
+    if selector not in _SELECTORS:
+        raise InvalidArgument(f"unknown data selector {selector!r}")
+    if selector.startswith("disk-") and domain != "disk":
+        raise InvalidArgument(f"{selector} data needs the disk domain")
+    return replace(_SELECTORS[selector](alpha, amplitude, nonlinear),
+                   compatibility_mode=compat or selector == "disk-compatible")

@@ -340,6 +340,13 @@ def make_disk(level, radius=1.0):
                    metadata={"level": level, "radius": radius})
 
 
+def make_mesh(domain, level, radius=1.0):
+    """The disk of ``level`` and ``radius``, else the square of ``level``."""
+    if domain == DISK:
+        return make_disk(level, radius)
+    return make_unit_square(level)
+
+
 @dataclass(frozen=True)
 class BoundaryFrameTable:
     """Per-boundary-vertex frames averaged from the adjacent edges.

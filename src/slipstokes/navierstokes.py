@@ -59,8 +59,9 @@ class PicardOptions:
 class IterationLog:
     """Per-sweep convergence history.
 
-    ``rows`` hold (iteration, increment, energy_residual) where the
-    increment is the H1 norm of the velocity update.  ``krylov`` holds
+    ``rows`` hold (iteration, increment, energy_residual): the H1 norm of
+    the velocity update, and the iterate's ``stokes.energy_defect`` over
+    its scale (0 or inf over a zero scale).  ``krylov`` holds
     the GMRES iterations of each sweep's solve, plus one entry for the
     undamped polish of a damped run; None marks a refactored solve, after
     a missed GMRES cycle or up front.  It stays out of ``rows`` and
@@ -144,7 +145,7 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
         u = np.asarray(opts.initial_guess, dtype=float)
     elif opts.initial_guess == "stokes":
         u = plan.reconstruct(x)[0]
-        energy_gate(u, A, ell)
+        energy_gate(u, A, ell, stokes, x)
     else:
         u = np.zeros(fe.num_velocity_dofs)
 
@@ -159,8 +160,9 @@ def solve_navier_stokes(mesh, data, options=None, plan=None):
             u_new = opts.damping * u_new + (1.0 - opts.damping) * u
         increment = forms.velocity_h1_norm(H1, u_new - u)
         # Logged, not gated: a damped iterate does not satisfy the identity.
-        _, _, defect, scale = energy_defect(u_new, A, ell)
-        log.add(it, increment, defect / scale)
+        _, _, defect, scale = energy_defect(u_new, A, ell, system, x)
+        log.add(it, increment,
+                defect / scale if scale else (np.inf if defect else 0.0))
         if not np.isfinite(increment):
             raise MaxIterations("iteration produced non-finite increment; "
                                 "data outside the contraction regime")

@@ -39,8 +39,9 @@ class Solution:
     """Velocity/pressure coefficients with solve diagnostics.
 
     ``diagnostics`` always contains: energy_lhs, energy_rhs, energy_residual,
-    h1_norm, pressure_l2, boundary_tangential_l2, divergence_l2,
-    linear_residual, pressure_mean, and the multiplier values.
+    energy_scale (the energy gate's scale, :func:`energy_defect`), h1_norm,
+    pressure_l2, boundary_tangential_l2, divergence_l2, linear_residual,
+    pressure_mean, and the multiplier values.
     """
 
     u: np.ndarray
@@ -49,34 +50,41 @@ class Solution:
     fe: object = None
 
 
-def energy_defect(u, A_total, ell):
-    """``(lhs, rhs, defect, scale)`` of the energy identity ``u.A u = l(u)``.
+def energy_defect(u, A_total, ell, system, x):
+    """``(lhs, rhs, defect, scale)`` of the energy identity ``u.A u = l(u)``
+    for the velocity ``u`` of the reduced solution ``x`` of ``system``.
 
-    ``defect = |lhs - rhs|``, measured against ``scale = max(|lhs|, 1)``.
+    ``defect = |lhs - rhs|`` is measured against the residual gate's own
+    ``scale = |b| |x|`` (``b = system.rhs``; ``x = (v, p, mu, lam)``), of
+    degree 2 in the data like both sides.  The border's rows give ``lhs -
+    rhs = v.r_v - p.r_p + mu r_gauge - lam r_guard`` for ``r = M x - b`` (a
+    skew convection adds nothing), so ``defect <= |x| |r| <= RESIDUAL_RTOL
+    scale`` up to rounding, and the gate checks the reduction and
+    ``reconstruct`` against ``A_total`` and ``ell`` at any scale.
     """
     energy_lhs = float(u @ (A_total @ u))
     energy_rhs = float(ell @ u)
     return (energy_lhs, energy_rhs, abs(energy_lhs - energy_rhs),
-            max(abs(energy_lhs), 1.0))
+            float(np.linalg.norm(system.rhs) * np.linalg.norm(x)))
 
 
-def energy_gate(u, A_total, ell):
-    """``(lhs, rhs, defect)`` of :func:`energy_defect`; ``NumericalError``
-    unless the defect is at most ``ENERGY_RTOL`` times its scale (a NaN
-    defect is not)."""
-    energy_lhs, energy_rhs, defect, scale = energy_defect(u, A_total, ell)
+def energy_gate(u, A_total, ell, system, x):
+    """``(lhs, rhs, defect, scale)`` of :func:`energy_defect`;
+    ``NumericalError`` unless the defect is at most ``ENERGY_RTOL`` times
+    its scale (a NaN defect is not; zero data passes as ``0 <= 0``)."""
+    lhs, rhs, defect, scale = energy_defect(u, A_total, ell, system, x)
     if not defect <= ENERGY_RTOL * scale:
-        raise NumericalError(
-            f"energy identity violated: |{energy_lhs:.6e} - {energy_rhs:.6e}|")
-    return energy_lhs, energy_rhs, defect
+        raise NumericalError(f"energy identity violated: |{lhs:.6e} - "
+                             f"{rhs:.6e}| against {scale:.6e}")
+    return lhs, rhs, defect, scale
 
 
 def _rotation_pairing(fe, ell):
     """``(l(beta), |l| |beta|)`` for the interpolated rigid rotation
-    ``beta``; the scale reads 1 when it is zero."""
+    ``beta``.  The scale is zero only for a zero load, whose pairing is 0."""
     beta = interpolate(fe, rigid_rotation().value)
     return (float(ell @ beta),
-            float(np.linalg.norm(ell) * np.linalg.norm(beta)) or 1.0)
+            float(np.linalg.norm(ell) * np.linalg.norm(beta)))
 
 
 def require_compatible(fe, ell):
@@ -94,12 +102,13 @@ def require_compatible(fe, ell):
 def _solution(fe, plan, system, x, A_total, ell):
     """The :class:`Solution` ``x`` of ``system``, energy-gated on ``A_total``."""
     u, p, mult = plan.reconstruct(x)
-    energy_lhs, energy_rhs, energy_residual = energy_gate(u, A_total, ell)
+    lhs, rhs, defect, scale = energy_gate(u, A_total, ell, system, x)
     rep = fem.norms(fe, u)
     diag = {
-        "energy_lhs": energy_lhs,
-        "energy_rhs": energy_rhs,
-        "energy_residual": energy_residual,
+        "energy_lhs": lhs,
+        "energy_rhs": rhs,
+        "energy_residual": defect,
+        "energy_scale": scale,
         "h1_norm": rep.h1,
         "h1_seminorm": rep.h1_semi,
         "l2_norm": rep.l2,

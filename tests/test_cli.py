@@ -1,10 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 
 from slipstokes import cli, experiments
 from slipstokes.cli import main
+from slipstokes.errors import SingularSystem
 from slipstokes.mesh import read_mesh
 from slipstokes.persistence import load_solution
 
@@ -85,12 +85,19 @@ class TestSolveCommands:
         assert code == 0
         assert json.loads(out)["diagnostics"]["h1_norm"] == 0.0
 
-    def test_overflowing_amplitude_exits_1(self, capsys, tmp_path):
-        # The convective load squares the amplitude to inf: a solver error.
+    def test_overflowing_ns_amplitude_exits_2_and_stores_nothing(
+            self, capsys, tmp_path, monkeypatch):
+        # The convective load would square the amplitude to inf; the data
+        # rule of the experiment configs refuses it before any solve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli, "solve_navier_stokes", refuse)
         code, _, err = run(capsys, "solve-ns", "--level", "4", "--data",
                            "mms", "--amplitude", "1e200", "--out", str(tmp_path))
-        assert code == 1
-        assert "non-finite" in err
+        assert code == 2
+        assert "config error" in err and "amplitude" in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["solve-stokes", "experiment"])
     def test_existing_file_as_out_exits_2(self, capsys, tmp_path, command):
@@ -116,17 +123,55 @@ class TestSolveCommands:
             assert code == 2
             assert "config error" in err and "finite" in err
 
-    def test_overflowing_residual_exits_1_and_stores_nothing(self, capsys,
-                                                             tmp_path):
-        # The right-hand side's norm overflows, so the relative residual is
-        # inf / inf = NaN: the residual gate refuses it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, _, err = run(capsys, "solve-stokes", "--level", "2", "--data",
-                               "mms", "--amplitude", "1e200",
-                               "--out", str(tmp_path))
-        assert code == 1
-        assert "solver error" in err and "nan" in err
+    def test_overflowing_stokes_amplitude_exits_2_and_stores_nothing(
+            self, capsys, tmp_path, monkeypatch):
+        # The right-hand side's norm would overflow, and the residual gate
+        # would read inf / inf = NaN: a false solver failure.  The data
+        # rule of the experiment configs refuses it before any solve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli, "solve_stokes", refuse)
+        code, _, err = run(capsys, "solve-stokes", "--level", "2", "--data",
+                           "mms", "--amplitude", "1e200",
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "config error" in err and "amplitude" in err
         assert not any(tmp_path.iterdir())
+
+    def test_largest_amplitude_solves(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "solve-stokes", "--level", "2", "--data",
+                           "mms", "--amplitude", "1e100",
+                           "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["linear_residual"] <= 1e-10
+
+    def test_compat_flag_reaches_every_selector(self, capsys, tmp_path,
+                                                monkeypatch):
+        seen = []
+
+        def record(mesh, data):
+            seen.append(data.compatibility_mode)
+            raise SingularSystem("recorded")
+
+        monkeypatch.setattr(cli, "solve_stokes", record)
+        for selector in ("sweep", "mms", "disk-drive", "disk-compatible"):
+            code, _, _ = run(capsys, "solve-stokes", "--domain", "disk",
+                             "--level", "1", "--data", selector, "--compat",
+                             "--out", str(tmp_path))
+            assert code == 1
+        assert seen == [True] * 4
+
+    def test_compat_flag_solves_the_guarded_disk_drive(self, capsys,
+                                                       tmp_path):
+        # Without friction the drive is zero data: compatible, and solved
+        # to exactly zero under the rotation guard.
+        code, out, err = run(capsys, "solve-stokes", "--domain", "disk",
+                             "--level", "2", "--alpha", "0", "--data",
+                             "disk-drive", "--compat", "--out", str(tmp_path))
+        assert code == 0, err
+        diag = json.loads(out)["diagnostics"]
+        assert diag["h1_norm"] == 0.0 and diag["energy_scale"] == 0.0
 
     @pytest.mark.parametrize("amplitude", ["1e-300", "1e101"])
     def test_amplitude_out_of_range_exits_2_before_solving(

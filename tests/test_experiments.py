@@ -351,6 +351,27 @@ def test_sweep_mms_selector():
         s.diagnostics["h1_norm"] for s in expected]
 
 
+def test_sweep_mms_selector_honours_amplitude():
+    # The amplitude reaches the manufactured sweep data, as on the CLI.
+    rows = {amp: run_experiment(ExperimentConfig(
+        kind="uniform_bound", levels=(4,), alpha=2.0, data="mms",
+        amplitude=amp, alpha_schedule=(1.0, 2.0))).rows
+        for amp in (None, 4.0)}
+    case = stokes_mms(alpha=2.0, amplitude=4.0)["data"]
+    expected = solve_friction_sweep(make_unit_square(4), case, [1.0, 2.0])[0]
+    assert [r[2] for r in rows[4.0]] == [
+        s.diagnostics["h1_norm"] for s in expected]
+    assert [r[2] for r in rows[4.0]] == pytest.approx(
+        [4.0 * r[2] for r in rows[None]], rel=1e-12)
+
+
+def test_disk_selectors_need_the_disk():
+    cfg = ExperimentConfig(kind="uniform_bound", levels=(4,),
+                           data="disk-drive")
+    with pytest.raises(InvalidArgument, match="needs the disk domain"):
+        run_experiment(cfg)
+
+
 def test_ns_limits_zero_amplitude_has_no_relative_gap():
     # Zero data: the clamped reference is zero, so the gap has no scale.
     cfg = ExperimentConfig(kind="ns_limits", levels=(2,), amplitude=0.0,

@@ -141,7 +141,7 @@ class TestPicard:
 
         def recording(system, factors, x0):
             out = saddle.krylov_solve(system, factors, x0)
-            solved.append(out[0])
+            solved.append((system, out[0]))
             return out
 
         monkeypatch.setattr(navierstokes, "krylov_solve", recording)
@@ -154,15 +154,32 @@ class TestPicard:
         u = np.zeros(fe.num_velocity_dofs)
         # The first solve is the Stokes start, which no row logs.
         assert len(solved[1:]) >= len(log.rows) > 1
-        for (_, _, logged), x in zip(log.rows, solved[1:]):
+        for (_, _, logged), (system, x) in zip(log.rows, solved[1:]):
             u_new = plan.reconstruct(x)[0]
             if damping != 1.0:
                 u_new = damping * u_new + (1.0 - damping) * u
             u = u_new
-            _, _, defect, scale = stokes.energy_defect(u, A, ell)
+            _, _, defect, scale = stokes.energy_defect(u, A, ell, system, x)
             assert logged == defect / scale
             lhs = float(u @ (A @ u))
-            assert logged == abs(lhs - float(ell @ u)) / max(abs(lhs), 1.0)
+            assert logged == abs(lhs - float(ell @ u)) / (
+                np.linalg.norm(system.rhs) * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_zero_data_log_over_zero_scale(self, damping):
+        # Zero data gives every sweep the energy scale 0.  An undamped
+        # iterate is exactly zero, and its zero defect is logged as 0; a
+        # damped one keeps part of a nonzero guess, logged as inf.
+        mesh = make_unit_square(4)
+        data = navier_stokes_mms(alpha=1.0, amplitude=0.0)["data"]
+        guess = np.linspace(-1.0, 1.0, build_taylor_hood(mesh).num_velocity_dofs)
+        sol, log = solve_navier_stokes(mesh, data, options=PicardOptions(
+            damping=damping, initial_guess=guess))
+        assert sol.diagnostics["energy_scale"] == 0.0
+        assert not sol.u.any()
+        logged = np.array([row[2] for row in log.rows])
+        expected = 0.0 if damping == 1.0 else np.inf
+        assert (logged == expected).all()
 
     def test_bad_options_rejected(self):
         for opts in (PicardOptions(max_iterations=0),

@@ -369,6 +369,115 @@ class TestFrictionMonotonicity:
         _assert_nonincreasing(*sweep, "energy_rhs")
 
 
+@st.composite
+def _scaled_problems(draw):
+    """A mesh, random data, its friction and a power of two ``2^k``.
+
+    Squares 2-6 and disks 1-2; scalar, callable or per-marker friction
+    (from 1e-2 up on the disk, as above).  The data is random smooth f
+    with constant F and h, or the constant force ``(0.3, -0.7)``, which a
+    pressure gradient balances, alone or with a small smooth part.
+    Coefficients are multiples of 1/64, so scaling never rounds.
+    """
+    disk = draw(st.booleans())
+    mesh = (make_disk(draw(st.integers(1, 2))) if disk
+            else make_unit_square(draw(st.integers(2, 6))))
+    unit = st.integers(-64, 64).map(lambda j: j / 64.0)
+    low = 1.0 / 64 if disk else 0.0
+    friction = st.floats(low, 10.0)
+    kind = draw(st.sampled_from(["scalar", "callable", "per-marker"]))
+    if kind == "scalar":
+        alpha = draw(friction)
+    elif kind == "callable":
+        c0, c1 = draw(friction), draw(friction)
+        alpha = lambda p: c0 + c1 * p[:, 0] ** 2   # noqa: E731
+    else:
+        alpha = {int(m): draw(friction)
+                 for m in np.unique(mesh.boundary_markers)}
+    family = draw(st.sampled_from(["random", "constant", "constant+smooth"]))
+    a = draw(st.lists(unit, min_size=4, max_size=4))
+
+    def smooth(p):
+        x, y = p[:, 0], p[:, 1]
+        return np.column_stack([a[0] * np.sin(3.0 * x * y) + a[1] * y,
+                                a[2] * np.cos(2.0 * x) + a[3] * x * y])
+
+    if family == "random":
+        data = ProblemData(
+            f=smooth, alpha=alpha,
+            F=np.array(draw(st.lists(unit, min_size=4, max_size=4))
+                       ).reshape(2, 2),
+            h=np.array(draw(st.lists(unit, min_size=2, max_size=2))))
+    elif family == "constant":
+        data = ProblemData(f=np.array([0.3, -0.7]), alpha=alpha)
+    else:
+        data = ProblemData(f=lambda p: np.array([0.3, -0.7]) + 2.0 ** -20
+                           * smooth(p), alpha=alpha)
+    return mesh, data, family, 2.0 ** draw(st.integers(-40, 40))
+
+
+def _scaled(data, s):
+    """``data`` with f, F and h multiplied by ``s``."""
+    def scale(v):
+        if v is None or not callable(v):
+            return None if v is None else s * np.asarray(v)
+        return lambda *args: s * np.asarray(v(*args))
+    return dataclasses.replace(data, f=scale(data.f), F=scale(data.F),
+                               h=scale(data.h))
+
+
+def _outcome(mesh, data):
+    try:
+        return solve_stokes(mesh, data)
+    except (NumericalError, SingularSystem) as exc:
+        return type(exc)
+
+
+class TestDataScale:
+    """Every side of the energy identity and of the solve scales as the
+    data: scaling f, F and h by a power of two scales u and p by it bit
+    for bit, and changes no gate decision."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_scaled_problems())
+    def test_solution_scales_and_no_decision_changes(self, problem):
+        mesh, data, family, s = problem
+        base, scaled = _outcome(mesh, data), _outcome(mesh, _scaled(data, s))
+        if family != "random":
+            # A pressure gradient absorbs the constant force at any scale.
+            assert isinstance(base, stokes.Solution)
+        if not isinstance(base, stokes.Solution):
+            assert scaled is base
+            return
+        assert isinstance(scaled, stokes.Solution)
+        assert scaled.u.tobytes() == (s * base.u).tobytes()
+        assert scaled.p.tobytes() == (s * base.p).tobytes()
+        assert scaled.diagnostics["energy_scale"] == (
+            s * s * base.diagnostics["energy_scale"])
+
+    @pytest.mark.parametrize("amplitude", [1e-6, 1e-3, 1.0])
+    def test_halved_solution_refused_at_every_scale(self, monkeypatch,
+                                                    amplitude):
+        # Halving a solution makes lhs = E/4 against rhs = E/2: the energy
+        # gate must refuse it however small the data.
+        solved = []
+        gated_solve = saddle.gated_solve
+
+        def recording(system, solve):
+            x = gated_solve(system, solve)
+            solved.append((system, x))
+            return x
+
+        monkeypatch.setattr(saddle, "gated_solve", recording)
+        data = stokes_mms(alpha=1.0, amplitude=amplitude)["data"]
+        sol = solve_stokes(make_unit_square(16), data)
+        [(system, x)] = solved
+        A = assemble_viscous(sol.fe) + assemble_friction(sol.fe, 1.0)
+        ell = assemble_load(sol.fe, data)
+        with pytest.raises(NumericalError, match="energy identity"):
+            stokes.energy_gate(sol.u / 2, A, ell, system, x / 2)
+
+
 class TestClampedReference:
     @pytest.mark.parametrize("data", [sweep_forcing(),
                                       stokes_mms(alpha=1.0)["data"]],
@@ -451,4 +560,6 @@ class TestBoundaryIdentity:
 def test_energy_gate_refuses_nan():
     # A NaN defect compares False against any bound; the gate must refuse it.
     with pytest.raises(NumericalError, match="energy identity"):
-        stokes.energy_gate(np.array([np.nan]), np.eye(1), np.ones(1))
+        stokes.energy_gate(np.array([np.nan]), np.eye(1), np.ones(1),
+                           saddle.SaddleSystem(np.eye(1), np.ones(1)),
+                           np.ones(1))
