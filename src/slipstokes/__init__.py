@@ -79,6 +79,7 @@ from .stokes import (
     energy_report,
     exponent_r,
     exponent_t,
+    make_compatible,
     solve_friction_sweep,
     solve_stokes,
 )

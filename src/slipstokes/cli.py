@@ -33,18 +33,14 @@ _SOLVER_ERRORS = (SingularSystem, NumericalError, MaxIterations,
 _CONFIG_ERRORS = (InvalidArgument, ParseError, OSError)
 
 
-def _int_list(text):
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad level list {text!r}") from exc
-
-
-def _float_list(text):
-    try:
-        return tuple(float(s) for s in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad schedule {text!r}") from exc
+def _list_of(kind, what):
+    """An argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text):
+        try:
+            return tuple(kind(s) for s in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from exc
+    return parse
 
 
 def build_parser():
@@ -86,15 +82,15 @@ def build_parser():
     exp.add_argument("kind", choices=KINDS)
     exp.add_argument("--config", help="INI config file")
     exp.add_argument("--out", help="report directory")
-    exp.add_argument("--levels", type=_int_list, default=None)
+    exp.add_argument("--levels", type=_list_of(int, "level list"))
     exp.add_argument("--alpha", type=float, default=None)
-    exp.add_argument("--alpha-schedule", type=_float_list, default=None)
+    exp.add_argument("--alpha-schedule", type=_list_of(float, "schedule"))
     exp.add_argument("--domain", choices=("square", "disk"), default=None)
     exp.add_argument("--amplitude", type=float, default=None)
 
     spec = sub.add_parser("spectra", help="Korn and inf-sup table")
     spec.add_argument("--domain", choices=("square", "disk"), default=None)
-    spec.add_argument("--levels", type=_int_list, default=None)
+    spec.add_argument("--levels", type=_list_of(int, "level list"))
     spec.add_argument("--alpha", type=float, default=1.0)
     spec.add_argument("--out", default=None, help="report directory")
     return parser
@@ -110,31 +106,22 @@ def _cmd_mesh(args):
     return 0
 
 
-def _cmd_solve_stokes(args):
+def _cmd_solve(args):
+    nonlinear = args.command == "solve-ns"
     mesh = make_mesh(args.domain, args.level, args.radius)
     data = select_data(args.data, args.domain, args.alpha, args.amplitude,
-                       args.compat)
-    solution = solve_stokes(mesh, data)
-    entry = store_run(args.out, "stokes", solution.u, solution.p,
-                      solution.diagnostics)
-    print(json.dumps({"run_id": entry.run_id, "path": entry.path,
-                      "diagnostics": solution.diagnostics},
-                     default=float, sort_keys=True))
-    return 0
-
-
-def _cmd_solve_ns(args):
-    mesh = make_mesh(args.domain, args.level, args.radius)
-    data = select_data(args.data, args.domain, args.alpha, args.amplitude,
-                       args.compat, nonlinear=True)
-    options = PicardOptions(max_iterations=args.max_iterations,
-                            tol=args.tol, damping=args.damping)
-    solution, log = solve_navier_stokes(mesh, data, options=options)
-    entry = store_run(args.out, "navier-stokes", solution.u, solution.p,
-                      solution.diagnostics)
-    print(json.dumps({"run_id": entry.run_id, "path": entry.path,
-                      "iterations": len(log.rows),
-                      "converged": bool(log.converged),
+                       args.compat, nonlinear=nonlinear)
+    info = {}
+    if nonlinear:
+        options = PicardOptions(max_iterations=args.max_iterations,
+                                tol=args.tol, damping=args.damping)
+        solution, log = solve_navier_stokes(mesh, data, options=options)
+        info = {"iterations": len(log.rows), "converged": bool(log.converged)}
+    else:
+        solution = solve_stokes(mesh, data)
+    entry = store_run(args.out, "navier-stokes" if nonlinear else "stokes",
+                      solution.u, solution.p, solution.diagnostics)
+    print(json.dumps({"run_id": entry.run_id, "path": entry.path, **info,
                       "diagnostics": solution.diagnostics},
                      default=float, sort_keys=True))
     return 0
@@ -145,16 +132,9 @@ def _cmd_experiment(args):
         cfg, outdir = parse_config(args.config, kind=args.kind)
     else:
         cfg, outdir = ExperimentConfig(kind=args.kind), None
-    if args.domain is not None:
-        cfg.domain = args.domain
-    if args.levels is not None:
-        cfg.levels = args.levels
-    if args.alpha is not None:
-        cfg.alpha = args.alpha
-    if args.alpha_schedule is not None:
-        cfg.alpha_schedule = args.alpha_schedule
-    if args.amplitude is not None:
-        cfg.amplitude = args.amplitude
+    for key in ("domain", "levels", "alpha", "alpha_schedule", "amplitude"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     report = run_experiment(cfg)
     target = args.out or outdir
     if target:
@@ -182,8 +162,8 @@ def _cmd_spectra(args):
 
 _COMMANDS = {
     "mesh": _cmd_mesh,
-    "solve-stokes": _cmd_solve_stokes,
-    "solve-ns": _cmd_solve_ns,
+    "solve-stokes": _cmd_solve,
+    "solve-ns": _cmd_solve,
     "experiment": _cmd_experiment,
     "spectra": _cmd_spectra,
 }

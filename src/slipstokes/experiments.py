@@ -39,7 +39,8 @@ from .fields import (ProblemData, check_amplitude, disk_compatible_forcing,
 from .mesh import make_mesh
 from .navierstokes import PicardOptions, solve_navier_stokes
 from .spectra import infsup_constant, korn_quotient_min
-from .stokes import require_compatible, solve_friction_sweep, solve_stokes
+from .stokes import (make_compatible, require_compatible, solve_friction_sweep,
+                     solve_stokes)
 from .fem import pressure_error_l2, velocity_error_h1
 
 KINDS = ("mms", "alpha_to_zero", "alpha_to_infinity", "uniform_bound",
@@ -83,6 +84,9 @@ class ExperimentConfig:
         if not (np.isfinite(values) & (values >= 0.0)).all():
             raise InvalidArgument("friction values must be finite and nonnegative")
         check_amplitude(self.amplitude)
+        if self.amplitude is not None and self.kind in ("compat_disk",
+                                                        "spectra_suite"):
+            raise InvalidArgument(f"{self.kind} takes no amplitude")
         return self
 
 
@@ -303,15 +307,20 @@ def run_uniform_bound(cfg):
 
 
 def run_compat_disk(cfg):
-    """Boundary circulation decay for compatible data on the disk."""
+    """Boundary circulation decay for compatible data on the disk: ``f =
+    (1, 0)`` by default, else the selected data made compatible per mesh."""
     if cfg.domain != "disk":
         raise InvalidArgument("the compatibility study runs on the disk")
-    data = disk_compatible_forcing(alpha=cfg.alpha if cfg.alpha > 0 else 1.0)
+    alpha = cfg.alpha if cfg.alpha > 0 else 1.0
+    data = (disk_compatible_forcing(alpha) if cfg.data == "default"
+            else select_data(cfg.data, cfg.domain, alpha))
 
     def cells(mesh):
-        fe = fem.build_taylor_hood(mesh)   # held: both calls share it
-        defect = require_compatible(fe, forms.assemble_load(fe, data))
-        sol = solve_stokes(mesh, data)
+        fe = fem.build_taylor_hood(mesh)   # held: every call shares it
+        mesh_data = (data if cfg.data == "default"
+                     else make_compatible(mesh, data))
+        defect = require_compatible(fe, forms.assemble_load(fe, mesh_data))
+        sol = solve_stokes(mesh, mesh_data)
         circulation = abs(float(
             forms.boundary_rotation_functional(fe) @ sol.u))
         return defect, circulation, sol.diagnostics["h1_norm"]
@@ -319,7 +328,7 @@ def run_compat_disk(cfg):
     rows, wall = _ladder(cfg, cells)
     h = [r[1] for r in rows]
     circ = [r[3] for r in rows]
-    # With discretely compatible data the circulation is zero to rounding
+    # f = (1, 0) has zero velocity, so its circulation is zero to rounding
     # at every level; the rate fit only means something above that floor.
     fits = {"circulation_rate": fit_rate(h, [max(c, 1e-300) for c in circ]),
             "machine_zero": bool(max(circ) <= 1e-13)}

@@ -38,31 +38,25 @@ class QuadratureRule:
 
 
 def _dunavant(order):
+    """Orbits of ``(1 - 2a, a, a)``, then permutations of ``(a, b, c)``."""
     if order == 4:
-        a1, w1 = 0.445948490915965, 0.223381589678011
-        a2, w2 = 0.091576213509771, 0.109951743655322
-        pts, wts = [], []
-        for a, w in ((a1, w1), (a2, w2)):
-            for perm in ((1 - 2 * a, a, a), (a, 1 - 2 * a, a), (a, a, 1 - 2 * a)):
-                pts.append(perm)
-                wts.append(w)
+        orbits = ((0.445948490915965, 0.223381589678011),
+                  (0.091576213509771, 0.109951743655322))
+        mixed = ()
     elif order == 6:
-        a1, w1 = 0.249286745170910, 0.116786275726379
-        a2, w2 = 0.063089014491502, 0.050844906370207
-        a3, b3 = 0.310352451033785, 0.053145049844816
-        w3 = 0.082851075618374
-        pts, wts = [], []
-        for a, w in ((a1, w1), (a2, w2)):
-            for perm in ((1 - 2 * a, a, a), (a, 1 - 2 * a, a), (a, a, 1 - 2 * a)):
-                pts.append(perm)
-                wts.append(w)
-        c3 = 1.0 - a3 - b3
-        for perm in ((a3, b3, c3), (b3, c3, a3), (c3, a3, b3),
-                     (a3, c3, b3), (c3, b3, a3), (b3, a3, c3)):
-            pts.append(perm)
-            wts.append(w3)
+        orbits = ((0.249286745170910, 0.116786275726379),
+                  (0.063089014491502, 0.050844906370207))
+        mixed = ((0.310352451033785, 0.053145049844816, 0.082851075618374),)
     else:
         raise InvalidArgument(f"quadrature order must be 4 or 6, got {order!r}")
+    pts, wts = [], []
+    for a, w in orbits:
+        pts += [(1 - 2 * a, a, a), (a, 1 - 2 * a, a), (a, a, 1 - 2 * a)]
+        wts += [w] * 3
+    for a, b, w in mixed:
+        c = 1.0 - a - b
+        pts += [(a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)]
+        wts += [w] * 6
     return np.array(pts), 0.5 * np.array(wts)
 
 

@@ -260,6 +260,16 @@ def disk_incompatible_forcing(alpha=0.0):
     return ProblemData(f=beta.value, alpha=alpha)
 
 
+def asymmetric_forcing(alpha=1.0):
+    """``f = (sin(pi y) + x^2, cos 2x + xy)``: no symmetry, so it pairs with
+    the rotation; ``stokes.make_compatible`` makes it compatible on a disk."""
+    def f(p):
+        x, y = p[:, 0], p[:, 1]
+        return np.column_stack([np.sin(PI * y) + x ** 2, np.cos(2 * x) + x * y])
+
+    return ProblemData(f=f, alpha=alpha)
+
+
 def sweep_forcing():
     """Smooth fixed forcing for friction sweeps on the square.
 
@@ -293,6 +303,7 @@ _SELECTORS = {
     "mms": lambda *args: mms_case(*args)["data"],
     "disk-drive": lambda alpha, *_: disk_tangential_drive(alpha)["data"],
     "disk-compatible": lambda alpha, *_: disk_compatible_forcing(alpha),
+    "asymmetric": lambda alpha, *_: asymmetric_forcing(alpha),
 }
 DATA_SELECTORS = tuple(_SELECTORS)
 
@@ -300,11 +311,13 @@ DATA_SELECTORS = tuple(_SELECTORS)
 def select_data(selector, domain, alpha, amplitude=None, compat=False,
                 nonlinear=False):
     """The :class:`ProblemData` named by ``selector`` on ``domain``, ``mms``
-    by :func:`mms_case`.  ``compat`` sets ``compatibility_mode`` for every
-    selector, and ``disk-compatible`` always does."""
+    (the only one taking an ``amplitude``) by :func:`mms_case`.  ``compat``
+    sets ``compatibility_mode``, which ``disk-compatible`` always sets."""
     check_amplitude(amplitude)
     if selector not in _SELECTORS:
         raise InvalidArgument(f"unknown data selector {selector!r}")
+    if amplitude is not None and selector != "mms":
+        raise InvalidArgument(f"{selector} data takes no amplitude")
     if selector.startswith("disk-") and domain != "disk":
         raise InvalidArgument(f"{selector} data needs the disk domain")
     return replace(_SELECTORS[selector](alpha, amplitude, nonlinear),

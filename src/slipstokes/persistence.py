@@ -22,7 +22,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -123,9 +123,7 @@ class RunRegistryEntry:
     n_pressure: int
 
     def to_json(self):
-        return json.dumps({"run_id": self.run_id, "path": self.path,
-                           "kind": self.kind, "n_velocity": self.n_velocity,
-                           "n_pressure": self.n_pressure}, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _read_registry(registry_path):

@@ -9,11 +9,11 @@ that ARPACK never factors on its own.  Each run stops at a relative
 Ritz residual of ``sqrt(eps)``, where the Ritz value is already fixed to
 rounding unless the smallest eigenvalues cluster (``_smallest_eig``).
 Korn and the rotation moments factor the positive definite
-``A - SIGMA M`` (``A`` semidefinite, ``SIGMA < 0``); the two moments
-share it, their rank-one terms entering by Sherman-Morrison.  The
-inf-sup constant factors the quasi-definite ``[[K, B^T], [B, SIGMA M_p]]``,
-stable in any symmetric order (Vanderbei, SIAM J. Optim. 5, 1995), whose
-pressure block inverts the shifted Schur complement.
+``A - SIGMA M`` (``A`` semidefinite, ``SIGMA < 0``), the two moments
+sharing it.  The inf-sup constant factors the quasi-definite
+``[[K, B^T], [B, SIGMA M_p]]``, stable in any symmetric order (Vanderbei,
+SIAM J. Optim. 5, 1995), whose pressure block inverts the shifted Schur
+complement.
 
 Given an estimate (in a study, the coarser level's value), Korn and
 inf-sup shift just below it instead, where Lanczos needs far fewer solves,
@@ -22,9 +22,9 @@ once the shifted factor's pivot signs certify the shift (``_shifted_lu``).
 The disk kernel is decided once, by ``constraints.build_constraint_plan``:
 where the plan carries the rotation guard (the disk, friction vanishing),
 the interpolated rigid rotation certifies the zero Korn constant without a
-factorization (``korn_quotient_min``).  The inf-sup constant deflates its
-known zero, the constant pressure, exactly; it needs the constant in
-``ker B^T`` and refuses a mesh where it is not.
+factorization (``korn_quotient_min``).  One rank-one correction of each
+solve deflates the constant pressure (inf-sup) and the rotation (volume
+moment) exactly, and adds the boundary moment's term (``_smallest_eig``).
 """
 
 from dataclasses import dataclass
@@ -70,7 +70,7 @@ def _alpha_descriptor(alpha):
     return f"{float(alpha):.6g}"
 
 
-def _smallest_eig(M, solve, shift, ncv):
+def _smallest_eig(M, solve, shift, ncv, rank_one=None):
     """Smallest eigenvalue of a symmetric pencil (A, M), M positive definite,
     and the number of solves Lanczos spent on it.
 
@@ -81,6 +81,12 @@ def _smallest_eig(M, solve, shift, ncv):
     it: ``A`` is semidefinite and ``SIGMA < 0``, or ``_shifted_lu`` counted.
     The start vector comes from a fixed seed, so numpy's global random
     state is untouched.
+
+    ``rank_one = (u, v)`` corrects each solve ``y`` to ``y - u (v . y)``
+    (Saad, *Numerical Methods for Large Eigenvalue Problems*, 2nd ed.,
+    2011, ch. 4): ``v = M u / (u^T M u)`` deflates an eigenvector ``u``;
+    ``u = w / (1 + g^T w)``, ``w = solve(g)``, ``v = g`` is Sherman-Morrison
+    for ``(A + g g^T, M)``.
 
     ARPACK stops once the Ritz residual ``r`` is below ``LANCZOS_RTOL``
     times the Ritz value, not at its default of machine epsilon.  A Ritz
@@ -95,11 +101,14 @@ def _smallest_eig(M, solve, shift, ncv):
     v0 = np.random.default_rng(0).standard_normal(n)
     solves = []
 
-    def counted(x):
+    def op(x):
         solves.append(x.shape)
-        return solve(x)
+        y = solve(x)
+        if rank_one is not None:
+            y -= rank_one[0] * (rank_one[1] @ y)
+        return y
 
-    inv = spla.LinearOperator((n, n), matvec=counted, dtype=float)
+    inv = spla.LinearOperator((n, n), matvec=op, dtype=float)
     # In shift-invert mode eigsh reads only the shape of its first argument.
     vals = spla.eigsh(inv, k=1, M=M, sigma=shift, which="LM", v0=v0, OPinv=inv,
                       ncv=ncv and min(ncv, n), tol=LANCZOS_RTOL,
@@ -213,31 +222,11 @@ def infsup_constant(mesh, alpha=0.0, estimate=None):
         lambda d: int((d > 0).sum()) - n_vel, 1)
     mass_one = Mp @ ones
     mass_one /= mass_one.sum()
-
-    def solve(q):
-        y = -lu.solve(np.concatenate([np.zeros(n_vel), q]))[n_vel:]
-        return y - mass_one @ y
-
-    lam, solves = _smallest_eig(Mp, solve, shift,
-                                None if below is None else NCV)
+    lam, solves = _smallest_eig(
+        Mp, lambda q: -lu.solve(np.concatenate([np.zeros(n_vel), q]))[n_vel:],
+        shift, None if below is None else NCV, (ones, mass_one))
     return _report(mesh, alpha, float(np.sqrt(lam)), n_vel,
                    _detail(shift, below, solves))
-
-
-def _rank_one_smallest(g, M, lu):
-    """Smallest eigenvalue of (A + g g^T, M) without densifying the rank-1 term.
-
-    ``lu`` factors ``A - SIGMA * M``.
-    """
-    # Sherman-Morrison inverse of (A - SIGMA * M + g g^T)
-    w = lu.solve(g)
-    denom = 1.0 + g @ w
-
-    def op(x):
-        y = lu.solve(x)
-        return y - w * (g @ y) / denom
-
-    return _smallest_eig(M, op, SIGMA, NCV)
 
 
 def beta_inequality_checks(mesh):
@@ -249,30 +238,34 @@ def beta_inequality_checks(mesh):
         ||u||_{L2}^2 <= C_bnd  [ ||D(u)||^2 + ( int_Gamma u.beta )^2 ]
 
     The reports carry the minimum eigenvalue of each right-hand quadratic
-    form against the L2 mass (the reciprocal of the optimal constant),
-    which must stay bounded away from zero under refinement.
+    form against the L2 mass ``M`` (the reciprocal of the optimal
+    constant), which must stay bounded away from zero under refinement.
+    With ``A`` the strain form and ``b`` the interpolated rotation, the
+    volume form is ``A + (M b)(M b)^T`` and ``A b = 0``: ``b`` is an
+    eigenvector, of eigenvalue ``b^T M b``.  So the constant is
+    ``min(lambda_2, b^T M b)``, with ``lambda_2`` the run on ``b``
+    deflated, and exact where ``b^T M b`` is the smaller (a small radius).
     """
     if mesh.domain_tag != "disk":
         raise InvalidArgument("rotation-moment inequalities are disk statements")
     fe = fem.build_taylor_hood(mesh)
     plan = fe.slip_plan()
-    P = plan.basis
-    # The default rule integrates the P2 mass exactly, so one assembly
-    # serves the L2 norm and the volume moment.
-    mass = forms.assemble_velocity_mass(fe)
-    M_l2 = plan.reduce(mass)
-    g_vol = P.T @ (mass @ fem.interpolate(fe, rigid_rotation().value))
-    del mass
-    g_bnd = P.T @ forms.boundary_rotation_functional(fe)
-    n = M_l2.shape[0]
-
+    # The P2 mass is exact, so M b is the volume moment's functional.
+    M = plan.reduce(forms.assemble_velocity_mass(fe))
+    b = plan.basis.T @ fem.interpolate(fe, rigid_rotation().value)
+    Mb = M @ b
+    g = plan.basis.T @ forms.boundary_rotation_functional(fe)
     # One factorization of the shifted operator serves both functionals;
     # it is the only copy of the strain form left when SuperLU runs.
     lu = symmetric_lu((0.5 * plan.reduce(forms.assemble_viscous(fe))
-                       - SIGMA * M_l2).tocsc())
+                       - SIGMA * M).tocsc())
+    w = lu.solve(g)
     reports = {}
-    for name, g in (("volume", g_vol), ("boundary", g_bnd)):
-        lam, solves = _rank_one_smallest(g, M_l2, lu)
-        reports[name] = _report(mesh, 0.0, lam, n, _detail(
+    for name, rank_one in (("volume", (b, Mb / (b @ Mb))),
+                           ("boundary", (w / (1.0 + g @ w), g))):
+        lam, solves = _smallest_eig(M, lu.solve, SIGMA, NCV, rank_one)
+        if name == "volume":
+            lam = min(lam, float(b @ Mb))
+        reports[name] = _report(mesh, 0.0, lam, M.shape[0], _detail(
             SIGMA, None, solves, optimal_inequality_constant=1.0 / lam))
     return reports

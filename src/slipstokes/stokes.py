@@ -26,7 +26,7 @@ from .constraints import border, build_constraint_plan
 from .errors import (IncompatibleData, InvalidArgument, NumericalError,
                      SingularSystem)
 from .fem import interpolate
-from .fields import rigid_rotation
+from .fields import ProblemData, rigid_rotation
 from .saddle import Factors, factor_solve, krylov_solve, relative_residual
 
 ENERGY_RTOL = 1e-8
@@ -310,3 +310,14 @@ def check_compatibility(mesh, data):
     """
     fe = fem.build_taylor_hood(mesh)
     return _rotation_pairing(fe, forms.assemble_load(fe, data))[0]
+
+
+def make_compatible(mesh, data):
+    """``data`` with ``f - c beta`` for ``f``, ``c`` the ratio of the
+    rotation pairings (:func:`check_compatibility`) of ``data`` and of
+    ``f = beta`` on ``mesh``, where the result's pairing is zero to rounding."""
+    beta = rigid_rotation().value
+    c = (check_compatibility(mesh, data)
+         / check_compatibility(mesh, ProblemData(f=beta)))
+    return replace(data, f=lambda p: fem.eval_field(
+        data.f, p, p.shape, "vector") - c * beta(p))

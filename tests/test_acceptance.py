@@ -12,12 +12,14 @@ import numpy as np
 
 from slipstokes import (ProblemData, build_taylor_hood, disk_compatible_forcing,
                         disk_tangential_drive, infsup_constant,
-                        korn_quotient_min, make_disk, make_unit_square,
-                        navier_stokes_mms, solve_navier_stokes, solve_stokes,
-                        stokes_mms, sweep_forcing)
+                        korn_quotient_min, make_compatible, make_disk,
+                        make_unit_square, navier_stokes_mms,
+                        solve_navier_stokes, solve_stokes, stokes_mms,
+                        sweep_forcing)
 from slipstokes import forms
 from slipstokes.experiments import ExperimentConfig, run_experiment
 from slipstokes.fem import velocity_error_h1, pressure_error_l2
+from slipstokes.fields import asymmetric_forcing
 from slipstokes.navierstokes import (PicardOptions, smallness_indicator,
                                      trilinear_defects)
 from slipstokes.stokes import exponent_r, exponent_t
@@ -74,6 +76,12 @@ def test_criterion_02_energy_identity():
     guarded = disk_compatible_forcing(alpha=0.0)
     guarded.compatibility_mode = True
     battery.append(("disk guarded a=0", make_disk(2), guarded))
+    # f = (1, 0) has zero velocity; the asymmetric force made compatible
+    # on the mesh has |u|_H1 about 0.2, with friction and under the guard.
+    asym = make_compatible(make_disk(2), asymmetric_forcing(alpha=1.0))
+    battery.append(("disk compat asym a=1", make_disk(2), asym))
+    battery.append(("disk guarded asym a=0", make_disk(2), ProblemData(
+        f=asym.f, alpha=0.0, compatibility_mode=True)))
     # A pressure gradient absorbs a large constant force; the velocity is
     # zero to rounding, so only the scaled statistic judges these.
     force = ProblemData(f=2.0 ** 20 * np.array([0.3, -0.7]), alpha=1.0)
@@ -155,22 +163,27 @@ def test_criterion_06_korn_dichotomy():
 
 
 def test_criterion_07_compatibility_identity():
-    cfg = ExperimentConfig(kind="compat_disk", domain="disk",
-                           levels=(1, 2, 3, 4), alpha=1.0)
-    report = run_experiment(cfg)
-    circ = [row[report.columns.index("boundary_circulation")]
-            for row in report.rows]
-    if report.fits["machine_zero"]:
-        # Compatible data kills the circulation identically at every level;
-        # that is stronger than any decay rate.
-        ok = True
-        detail = (f"circulation at machine zero on all levels "
-                  f"(max {max(circ):.1e} <= 1e-13), stronger than order 1.5")
-    else:
-        slope = report.fits["circulation_rate"]["slope"]
-        ok = slope >= 1.5
-        detail = f"circulation decays at order {slope:.2f} >= 1.5"
-    verdict(7, ok, detail)
+    # f = (1, 0), whose velocity is zero, and the asymmetric force made
+    # compatible on each mesh, whose velocity is not.
+    ok, details = True, []
+    for data in ("default", "asymmetric"):
+        cfg = ExperimentConfig(kind="compat_disk", domain="disk",
+                               levels=(1, 2, 3, 4), alpha=1.0, data=data)
+        report = run_experiment(cfg)
+        circ = [row[report.columns.index("boundary_circulation")]
+                for row in report.rows]
+        if report.fits["machine_zero"]:
+            # Compatible data kills the circulation identically at every
+            # level; that is stronger than any decay rate.
+            details.append(f"{data}: circulation at machine zero on all "
+                           f"levels (max {max(circ):.1e} <= 1e-13), stronger "
+                           "than order 1.5")
+        else:
+            slope = report.fits["circulation_rate"]["slope"]
+            ok = ok and slope >= 1.5
+            details.append(f"{data}: circulation decays at order "
+                           f"{slope:.2f} >= 1.5")
+    verdict(7, ok, "; ".join(details))
 
 
 def test_criterion_08_infsup(dense_infsup):

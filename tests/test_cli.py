@@ -139,6 +139,24 @@ class TestSolveCommands:
         assert "config error" in err and "amplitude" in err
         assert not any(tmp_path.iterdir())
 
+    def test_amplitude_of_a_selector_without_one_exits_2_and_stores_nothing(
+            self, capsys, tmp_path, monkeypatch):
+        # The sweep data has no amplitude; a run stored under the flag
+        # would hold the same velocity as a run without it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli, "solve_stokes", refuse)
+        monkeypatch.setattr(experiments, "solve_stokes", refuse)
+        for argv in (["solve-stokes", "--level", "2", "--data", "sweep",
+                      "--amplitude", "5", "--out", str(tmp_path)],
+                     ["experiment", "compat_disk", "--levels", "1,2,3",
+                      "--amplitude", "5", "--out", str(tmp_path)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert "config error" in err and "amplitude" in err
+        assert not any(tmp_path.iterdir())
+
     def test_largest_amplitude_solves(self, capsys, tmp_path):
         code, out, _ = run(capsys, "solve-stokes", "--level", "2", "--data",
                            "mms", "--amplitude", "1e100",

@@ -10,7 +10,8 @@ from slipstokes.errors import IncompatibleData, InvalidArgument, MaxIterations
 from slipstokes.experiments import (KINDS, ExperimentConfig, fit_rate,
                                     parse_config, run_experiment,
                                     write_report)
-from slipstokes.fields import ProblemData, rigid_rotation
+from slipstokes.fields import (DATA_SELECTORS, ProblemData, rigid_rotation,
+                               select_data)
 from slipstokes.stokes import solve_friction_sweep
 
 
@@ -379,3 +380,36 @@ def test_ns_limits_zero_amplitude_has_no_relative_gap():
     gap = run_experiment(cfg).fits["achieved_range"]
     assert gap["reference_h1"] == 0.0
     assert np.isnan(gap["final_relative_gap"])
+
+
+@pytest.mark.parametrize("selector", [s for s in DATA_SELECTORS if s != "mms"])
+def test_selectors_without_an_amplitude_refuse_one(selector):
+    # Only the manufactured data scales with an amplitude; every other
+    # selector would ignore it without a word.
+    select_data(selector, "disk", 1.0)
+    for amplitude in (5.0, 1.0, 0.0):
+        with pytest.raises(InvalidArgument, match="takes no amplitude"):
+            select_data(selector, "disk", 1.0, amplitude)
+    assert select_data("mms", "disk", 1.0, 5.0) is not None
+
+
+@pytest.mark.parametrize("kind", ["compat_disk", "spectra_suite"])
+def test_kinds_without_an_amplitude_refuse_one(kind):
+    ExperimentConfig(kind=kind).validate()
+    with pytest.raises(InvalidArgument, match="takes no amplitude"):
+        ExperimentConfig(kind=kind, amplitude=2.0).validate()
+
+
+def test_compat_disk_honours_the_data_selector():
+    # The asymmetric force, made compatible on each mesh: the pairing is
+    # rounding, the velocity is not zero, and the circulation decays.
+    report = run_experiment(ExperimentConfig(
+        kind="compat_disk", levels=(1, 2, 3), data="asymmetric"))
+    defect, circulation, h1 = (
+        [row[report.columns.index(name)] for row in report.rows]
+        for name in ("compatibility_defect", "boundary_circulation",
+                     "h1_norm"))
+    assert max(abs(d) for d in defect) <= 1e-15
+    assert all(0.19 < n < 0.21 for n in h1)
+    assert circulation[0] > 1e-4 and circulation[-1] < 1e-6
+    assert not report.fits["machine_zero"]

@@ -94,7 +94,7 @@ FLAGS = {
     "solve-stokes": {"--domain": ["square", "disk"], "--level": LEVELS,
                      "--radius": NUMBERS, "--alpha": NUMBERS,
                      "--data": ["sweep", "mms", "disk-drive",
-                                "disk-compatible", "other"],
+                                "disk-compatible", "asymmetric", "other"],
                      "--amplitude": NUMBERS, "--compat": None},
     "experiment": {"--levels": LEVEL_LISTS, "--alpha": NUMBERS,
                    "--alpha-schedule": ["1,2", "0", "1,-1", "nan", "x"],

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from slipstokes import (beta_inequality_checks, experiments, fem, forms,
@@ -244,10 +245,47 @@ class TestBetaInequalities:
             b = reports[2][name].constant
             assert abs(a - b) / max(a, b) < 0.2
 
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_volume_constant_is_exact_at_small_radius(self, level):
+        # At radius 0.01 the rotation's eigenvalue b^T M b, the polar moment
+        # of the regular N-gon, lies far below the strain spectrum; it is
+        # the constant exactly, not to LANCZOS_RTOL |SIGMA|.
+        r, N = 0.01, 6 * 2 ** level
+        polar = N * r ** 4 / 12 * np.sin(2 * np.pi / N) * (
+            2 + np.cos(2 * np.pi / N))
+        rep = beta_inequality_checks(make_disk(level, r))["volume"]
+        assert abs(rep.constant - polar) <= 1e-12 * polar
+
     def test_optimal_constant_is_reciprocal(self):
         rep = beta_inequality_checks(make_disk(1))["volume"]
         assert rep.detail["optimal_inequality_constant"] == pytest.approx(
             1.0 / rep.constant, rel=1e-12)
+
+
+class TestRankOneCorrection:
+    """``_smallest_eig``'s one correction ``y -> y - u (v . y)`` on a
+    diagonal pencil ``(A, M)`` with a known spectrum."""
+
+    A = np.arange(30.0) / 4.0           # eigenvalues 0, 0.25, ..., 7.25
+    M = sparse.diags(1.0 + np.arange(30.0) % 3)
+
+    def solve(self, x):
+        return x / (self.A - spectra.SIGMA * self.M.diagonal())
+
+    def test_deflation_removes_the_eigenvector(self):
+        u = np.eye(30)[0]                # eigenvalue 0; next 0.25 / 2
+        Mu = self.M @ u
+        lam, _ = spectra._smallest_eig(self.M, self.solve, spectra.SIGMA,
+                                       spectra.NCV, (u, Mu / (u @ Mu)))
+        assert lam == pytest.approx(0.25 / 2.0, rel=1e-12)
+
+    def test_sherman_morrison_adds_the_rank_one_form(self):
+        g = np.random.default_rng(1).standard_normal(30)
+        w = self.solve(g)
+        lam, _ = spectra._smallest_eig(self.M, self.solve, spectra.SIGMA,
+                                       spectra.NCV, (w / (1.0 + g @ w), g))
+        expected = _dense_smallest(np.diag(self.A) + np.outer(g, g), self.M)
+        assert lam == pytest.approx(expected, rel=1e-12)
 
 
 class TestShiftInvertPaths:

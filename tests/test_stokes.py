@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 from slipstokes import (ProblemData, apply_plan, assemble_divergence,
                         assemble_friction, assemble_load, assemble_viscous,
                         build_constraint_plan, build_dirichlet_plan,
-                        build_taylor_hood,
+                        assemble_velocity_h1, build_taylor_hood,
                         disk_compatible_forcing, disk_incompatible_forcing,
-                        disk_tangential_drive, factor_solve, make_disk,
+                        disk_tangential_drive, factor_solve,
+                        korn_quotient_min, make_compatible, make_disk,
                         make_unit_square, rigid_rotation,
                         solve_friction_sweep, solve_stokes, stokes_mms,
                         sweep_forcing)
+from slipstokes.forms import velocity_h1_norm
 from slipstokes import saddle, stokes
 from slipstokes.errors import (IncompatibleData, InvalidArgument,
                                NumericalError, SingularSystem)
 from slipstokes.saddle import symmetric_lu
 from slipstokes.fem import velocity_error_h1, pressure_error_l2
-from slipstokes.fields import ClosedFormField
+from slipstokes.fields import ClosedFormField, asymmetric_forcing
 from slipstokes.stokes import (EXPONENT_EPS, boundary_identity_defect,
                                check_compatibility, energy_report, exponent_r,
                                exponent_t)
@@ -182,6 +184,34 @@ class TestFrictionlessDisk:
         got = check_compatibility(mesh, ProblemData(f=rigid_rotation().value))
         assert got == pytest.approx(moment, rel=1e-12)
 
+    @pytest.mark.parametrize("level,c", [
+        (1, -0.64815), (2, -0.62567), (3, -0.61998), (4, -0.61855)])
+    def test_make_compatible_gives_a_flow_the_guard_accepts(self, level, c):
+        # f - c beta with c from the assembled pairings: the pairing is
+        # rounding, and the guarded frictionless solve has a velocity.
+        mesh = make_disk(level)
+        raw = asymmetric_forcing(alpha=0.0)
+        data = make_compatible(mesh, raw)
+        p = np.array([[0.3, 0.2], [-0.5, 0.4]])
+        assert np.allclose(data.f(p) - raw.f(p),
+                           -c * rigid_rotation().value(p), rtol=1e-4)
+        assert abs(check_compatibility(mesh, data)) <= 1e-15 * abs(
+            check_compatibility(mesh, raw))
+        data.compatibility_mode = True
+        sol = solve_stokes(mesh, data)
+        assert 0.2 < sol.diagnostics["h1_norm"] < 0.3
+        assert abs(sol.diagnostics["kernel_guard"]) < 1e-12
+
+    def test_make_compatible_keeps_flux_boundary_data_and_friction(self):
+        mesh = make_disk(2)
+        F = np.array([[0.2, 0.5], [-0.1, 0.3]])
+        data = ProblemData(f=np.array([0.3, 0.1]), F=F,
+                           h=lambda x, n, t: 0.7 * t + 0.2 * n, alpha=0.5)
+        out = make_compatible(mesh, data)
+        assert out.F is F and out.h is data.h and out.alpha == 0.5
+        assert abs(check_compatibility(mesh, out)) <= 1e-15 * abs(
+            check_compatibility(mesh, data))
+
     def test_compatibility_moment_boundary_drive(self):
         # h = c t pairs with beta through the chord offset r_m on each edge.
         mesh = make_disk(1)
@@ -319,14 +349,8 @@ class TestFrictionSweep:
             assert fill[0] == fill[1]
 
 
-@st.composite
-def _monotone_sweeps(draw):
-    """A mesh, random data and an ascending scalar friction schedule:
-    squares 2-6 from alpha 0 up, disks 1-2 from 1e-2 up (below that the
-    unguarded disk nears its kernel)."""
-    disk = draw(st.booleans())
-    mesh = (make_disk(draw(st.integers(1, 2))) if disk
-            else make_unit_square(draw(st.integers(2, 6))))
+def _random_data(draw):
+    """Random smooth f with constant F and h, coefficients in [-1, 1]."""
     unit = st.floats(-1.0, 1.0)
     a = draw(st.lists(unit, min_size=6, max_size=6))
     F = np.array(draw(st.lists(unit, min_size=4, max_size=4))).reshape(2, 2)
@@ -337,11 +361,23 @@ def _monotone_sweeps(draw):
         return np.column_stack([a[0] + a[1] * np.sin(3.0 * x * y) + a[2] * y,
                                 a[3] + a[4] * np.cos(2.0 * x) + a[5] * x * y])
 
+    return ProblemData(f=f, F=F, h=h)
+
+
+@st.composite
+def _monotone_sweeps(draw):
+    """A mesh, random data and an ascending scalar friction schedule:
+    squares 2-6 from alpha 0 up, disks 1-2 from 1e-2 up (below that the
+    unguarded disk nears its kernel)."""
+    disk = draw(st.booleans())
+    mesh = (make_disk(draw(st.integers(1, 2))) if disk
+            else make_unit_square(draw(st.integers(2, 6))))
+    data = _random_data(draw)
     exponent = st.floats(-2.0 if disk else -4.0, 8.0).map(lambda e: 10.0 ** e)
     alphas = draw(st.lists(exponent, min_size=2, max_size=6))
     if not disk and draw(st.booleans()):
         alphas.append(0.0)
-    return mesh, ProblemData(f=f, F=F, h=h), sorted(alphas)
+    return mesh, data, sorted(alphas)
 
 
 def _assert_nonincreasing(mesh, data, alphas, name):
@@ -367,6 +403,78 @@ class TestFrictionMonotonicity:
     @given(_monotone_sweeps())
     def test_energy_rhs_does_not_grow(self, sweep):
         _assert_nonincreasing(*sweep, "energy_rhs")
+
+
+@st.composite
+def _ordered_frictions(draw):
+    """A mesh, random data and frictions ``alpha_1 <= alpha_2`` at every
+    boundary point, both per marker or both callable: squares 2-6 from
+    alpha 0 up, disks 1-2 from 1e-2 up, as in :func:`_monotone_sweeps`."""
+    disk = draw(st.booleans())
+    mesh = (make_disk(draw(st.integers(1, 2))) if disk
+            else make_unit_square(draw(st.integers(2, 6))))
+    data = _random_data(draw)
+    friction = st.floats(-2.0 if disk else -4.0, 6.0).map(lambda e: 10.0 ** e)
+    if not disk:
+        friction = friction | st.just(0.0)
+    bump = st.floats(-4.0, 6.0).map(lambda e: 10.0 ** e) | st.just(0.0)
+    if draw(st.booleans()):
+        low = {int(m): draw(friction) for m in np.unique(mesh.boundary_markers)}
+        high = {m: a + draw(bump) for m, a in low.items()}
+        return mesh, data, low, high
+    c = draw(st.lists(friction, min_size=2, max_size=2))
+    d = [a + draw(bump) for a in c]
+    return (mesh, data, lambda p: c[0] + c[1] * np.sin(3.0 * p[:, 0]) ** 2,
+            lambda p: d[0] + d[1] * np.sin(3.0 * p[:, 0]) ** 2)
+
+
+@st.composite
+def _small_friction_sweeps(draw):
+    """A square 2-6, random data and frictions from 1e-5 to 1."""
+    exponent = st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e)
+    return (make_unit_square(draw(st.integers(2, 6))), _random_data(draw),
+            sorted(draw(st.lists(exponent, min_size=1, max_size=5))))
+
+
+class TestFrictionOrder:
+    """The friction's order, pointwise and at alpha -> 0."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_ordered_frictions())
+    def test_work_does_not_grow_with_pointwise_friction(self, case):
+        # ``alpha_1 <= alpha_2`` at every friction sample gives ``J_1 <=
+        # J_2`` for every velocity, so ``l(u_1) = -2 min J_1 >= l(u_2)``.
+        # The slack is relative to the larger of the work and the energy
+        # gate's scale ``|b| |x|``: a gradient force has zero velocity, and
+        # its work is rounding of either sign (-1.4e-18 against 1.0e-17).
+        mesh, data, low, high = case
+        diags = [solve_stokes(mesh, dataclasses.replace(data, alpha=a))
+                 .diagnostics for a in (low, high)]
+        work = [d["energy_rhs"] for d in diags]
+        scale = max(abs(work[0]), diags[0]["energy_scale"])
+        assert work[1] <= work[0] + 1e-9 * scale, work
+
+    @settings(max_examples=25, deadline=None)
+    @given(_small_friction_sweeps())
+    def test_distance_to_frictionless_is_linear_in_alpha(self, case):
+        # ``e = u_alpha - u_0`` solves ``(A + alpha R) e = -alpha R u_0`` on
+        # the divergence-free space, so ``|e|_A <= alpha |u'|_A``, with
+        # ``A u' = -R u_0``; Korn gives ``|e|_H1 <= |e|_A / sqrt(c_K)``.
+        mesh, data, alphas = case
+        sols, _ = solve_friction_sweep(mesh, data, [0.0, *alphas])
+        fe = sols[0].fe
+        A, H1 = assemble_viscous(fe), assemble_velocity_h1(fe)
+        plan = build_constraint_plan(fe, data)
+        x = factor_solve(apply_plan(plan, A, assemble_divergence(fe),
+                                    -(assemble_friction(fe, 1.0) @ sols[0].u)))
+        du = plan.reconstruct(x)[0]
+        bound = np.sqrt(du @ (A @ du))
+        korn = korn_quotient_min(mesh).constant
+        for alpha, sol in zip(alphas, sols[1:]):
+            e = sol.u - sols[0].u
+            assert np.sqrt(e @ (A @ e)) <= (1 + 1e-6) * alpha * bound
+            assert (velocity_h1_norm(H1, e) / alpha
+                    <= (1 + 1e-6) * bound / np.sqrt(korn))
 
 
 @st.composite

@@ -16,7 +16,10 @@ Prints one JSON object of SHA-256 digests:
 * the bytes of every velocity and the GMRES iteration list of
   ``solve_friction_sweep`` of ``sweep_forcing`` on disk 3 over
   ``[1e-2, 1, 1e2, 1e4]``, where ``compat_disk``'s velocity is zero to
-  rounding and so shows no change in the disk friction systems.
+  rounding and so shows no change in the disk friction systems;
+* the volume and boundary constants of ``beta_inequality_checks`` on disk
+  levels 1-4 at radius 1 and at radius 0.01, each written with 17
+  significant digits.
 
 A refactor that keeps the numerics prints the same object before and after.
 The package is imported from ``src/`` next to this directory, and no
@@ -40,6 +43,7 @@ from slipstokes.experiments import (KINDS, ExperimentConfig,  # noqa: E402
 from slipstokes.fields import navier_stokes_mms, sweep_forcing  # noqa: E402
 from slipstokes.mesh import make_disk, make_unit_square  # noqa: E402
 from slipstokes.navierstokes import solve_navier_stokes  # noqa: E402
+from slipstokes.spectra import beta_inequality_checks  # noqa: E402
 from slipstokes.stokes import solve_friction_sweep  # noqa: E402
 
 CLI_RUNS = {
@@ -92,12 +96,24 @@ def _disk_sweep_digest():
                 + json.dumps(iterations).encode("ascii"))
 
 
+def _moment_digest():
+    lines = []
+    for radius in (1.0, 0.01):
+        for level in (1, 2, 3, 4):
+            reports = beta_inequality_checks(make_disk(level, radius))
+            lines.append(f"{radius} {level} "
+                         f"{reports['volume'].constant:.17g} "
+                         f"{reports['boundary'].constant:.17g}\n")
+    return _sha("".join(lines))
+
+
 def main():
     _, log = solve_navier_stokes(make_unit_square(16),
                                  navier_stokes_mms()["data"])
     print(json.dumps({"report_csv": _report_digests(), "cli": _cli_digests(),
                       "iteration_log_csv": _sha(log.to_csv()),
-                      "disk3_friction_sweep": _disk_sweep_digest()},
+                      "disk3_friction_sweep": _disk_sweep_digest(),
+                      "rotation_moments": _moment_digest()},
                      indent=2, sort_keys=True))
 
 
