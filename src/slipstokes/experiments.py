@@ -87,6 +87,10 @@ class ExperimentConfig:
         if self.amplitude is not None and self.kind in ("compat_disk",
                                                         "spectra_suite"):
             raise InvalidArgument(f"{self.kind} takes no amplitude")
+        if self.data != "default" and self.kind in ("mms", "ns_mms",
+                                                    "spectra_suite",
+                                                    "ns_limits"):
+            raise InvalidArgument(f"{self.kind} takes no data selector")
         return self
 
 

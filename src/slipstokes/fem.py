@@ -254,16 +254,21 @@ def interpolate(fe, field, space="velocity"):
     return out
 
 
-def eval_field(field, pts, shape, kind):
+def eval_field(field, pts, shape, kind, *args):
     """``field`` at (k, 2) points as an array of ``shape``; zeros for None.
 
-    A callable maps the points to ``shape``; a constant of shape
+    A callable maps ``(pts, *args)`` to ``shape``; a constant of shape
     ``shape[1:]`` (or a scalar) is repeated at every point.  Any other
-    shape raises ``InvalidArgument``, naming the field's ``kind``.
+    shape, or a value that is not numeric, raises ``InvalidArgument``
+    naming the field's ``kind``; the callable's own errors propagate.
     """
     if field is None:
         return np.zeros(shape)
-    vals = np.asarray(field(pts) if callable(field) else field, dtype=float)
+    raw = field(pts, *args) if callable(field) else field
+    try:
+        vals = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"{kind} field is not numeric: {exc}") from None
     if not callable(field) and vals.shape in ((), shape[1:]):
         vals = np.broadcast_to(vals, shape).copy()
     if vals.shape != shape:
@@ -364,9 +369,9 @@ def velocity_error_h1(fe, coeffs, exact, exact_grad):
     w = fe.weights(rule)
     pts = fe.quad_coords(rule)
     flat = pts.reshape(-1, 2)
-    uex = np.asarray(exact(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], 2)
-    gex = np.asarray(exact_grad(flat), dtype=float).reshape(
-        pts.shape[0], pts.shape[1], 2, 2)
+    uex = eval_field(exact, flat, flat.shape, "vector").reshape(pts.shape)
+    gex = eval_field(exact_grad, flat, (len(flat), 2, 2), "matrix").reshape(
+        *pts.shape[:2], 2, 2)
 
     dx = vx - uex[..., 0]
     dy = vy - uex[..., 1]
@@ -379,9 +384,10 @@ def velocity_error_h1(fe, coeffs, exact, exact_grad):
 
 
 def pressure_error_l2(fe, coeffs, exact):
-    """L2 error of a P1 pressure against a closed form."""
+    """L2 error of a P1 pressure against a closed form (k, 2) -> (k,)."""
     rule = quadrature(6)
     pts = fe.quad_coords(rule)
-    pex = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+    flat = pts.reshape(-1, 2)
+    pex = eval_field(exact, flat, flat.shape[:1], "scalar").reshape(pts.shape[:2])
     d = _pressure_at(fe, coeffs, rule) - pex
     return float(np.sqrt(np.sum(fe.weights(rule) * d ** 2)))

@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidArgument
+from .fem import eval_field
 
 PI = np.pi
 
@@ -42,6 +43,12 @@ class ClosedFormField:
 class ProblemData:
     """Volume, flux and boundary data plus the friction coefficient.
 
+    Every field is read by ``fem.eval_field`` at k points, with one shape
+    rule: a scalar or a constant of the per-point shape (repeated at every
+    point), a full ``(k, ...)`` array, or a callable returning the full
+    array.  Any other shape, or a value that is not numeric, raises
+    ``InvalidArgument``.
+
     Attributes
     ----------
     f : vector field, (k,2)->(k,2), constant, or None
@@ -52,7 +59,7 @@ class ProblemData:
         tangential part ever acts.
     alpha : float, callable ``(k,2)->(k,)``, or dict marker -> (float|callable)
         Friction coefficient sampled at boundary quadrature points;
-        samples must be finite and nonnegative.
+        samples must be finite and nonnegative, and None is refused.
     compatibility_mode : bool
         Allows solving on the rotationally symmetric disk with vanishing
         friction by adding the rotation-moment gauge.
@@ -69,56 +76,27 @@ def sample_alpha(alpha, points, markers):
     """Evaluate a friction coefficient at boundary points.
 
     ``points`` has shape (nb, ns, 2) and ``markers`` shape (nb,); the result
-    has shape (nb, ns).  Negative or non-finite samples raise
-    ``InvalidArgument``.
+    has shape (nb, ns).  A None or malformed coefficient, or a negative or
+    non-finite sample, raises ``InvalidArgument``.
     """
     nb, ns = points.shape[0], points.shape[1]
-    if isinstance(alpha, dict):
-        out = np.empty((nb, ns))
-        for k in range(nb):
-            spec = alpha.get(int(markers[k]))
-            if spec is None:
-                raise InvalidArgument(f"no friction value for marker {markers[k]}")
-            out[k] = _alpha_rows(spec, points[k])
-        return out
-    return _alpha_rows(alpha, points.reshape(-1, 2)).reshape(nb, ns)
+    if not isinstance(alpha, dict):
+        return _alpha_rows(alpha, points.reshape(-1, 2), "").reshape(nb, ns)
+    out = np.empty((nb, ns))
+    for k in range(nb):
+        out[k] = _alpha_rows(alpha.get(int(markers[k])), points[k],
+                             f" for marker {markers[k]}")
+    return out
 
 
-def _alpha_rows(spec, pts):
-    if callable(spec):
-        vals = np.asarray(spec(pts), dtype=float)
-        if vals.shape != (pts.shape[0],):
-            raise InvalidArgument(f"friction field returned shape {vals.shape}, "
-                                  f"expected {(pts.shape[0],)}")
-    else:
-        vals = np.full(pts.shape[0], float(spec))
+def _alpha_rows(spec, pts, where):
+    if spec is None:
+        raise InvalidArgument(f"no friction value{where}")
+    vals = eval_field(spec, pts, pts.shape[:1], "friction")
     if not (np.isfinite(vals) & (vals >= 0.0)).all():
         raise InvalidArgument("friction samples must be finite and nonnegative "
                               f"(min {vals.min():.3e}, max {vals.max():.3e})")
     return vals
-
-
-def eval_boundary_field(h, points, normals, tangents):
-    """Evaluate a boundary field at (nb, ns, 2) points and project tangentially.
-
-    ``normals`` and ``tangents`` have shape (nb, 2) and are broadcast along
-    the quadrature axis.  Returns the tangential scalar ``h . t`` with shape
-    (nb, ns).
-    """
-    if h is None:
-        return np.zeros(points.shape[:2])
-    nb, ns = points.shape[0], points.shape[1]
-    n = np.broadcast_to(normals[:, None, :], points.shape).reshape(-1, 2)
-    t = np.broadcast_to(tangents[:, None, :], points.shape).reshape(-1, 2)
-    flat = points.reshape(-1, 2)
-    if callable(h):
-        vals = np.asarray(h(flat, n, t), dtype=float)
-    else:
-        vals = np.broadcast_to(np.asarray(h, dtype=float), flat.shape).copy()
-    if vals.shape != flat.shape:
-        raise InvalidArgument(f"boundary field returned shape {vals.shape}, "
-                              f"expected {flat.shape}")
-    return np.einsum("ka,ka->k", vals, t).reshape(nb, ns)
 
 
 def rigid_rotation():

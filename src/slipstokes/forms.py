@@ -18,7 +18,7 @@ import scipy.sparse as sparse
 
 from . import fem
 from .errors import NumericalError
-from .fields import eval_boundary_field, sample_alpha
+from .fields import sample_alpha
 
 
 def _scatter(local, rows, cols, shape):
@@ -115,12 +115,13 @@ def friction_samples(fe, alpha):
 
 
 def assemble_friction(fe, alpha):
-    """Tangential boundary friction form; zero matrix when alpha == 0."""
+    """Tangential boundary friction form; a matrix with no stored entry
+    when alpha is the scalar 0."""
     mesh = fe.mesh
     n = fe.num_velocity_dofs
-    if np.isscalar(alpha) and not callable(alpha) and float(alpha) == 0.0:
-        return sparse.csr_matrix((n, n))
     rule, avals = friction_samples(fe, alpha)
+    if np.isscalar(alpha) and not avals.any():
+        return sparse.csr_matrix((n, n))
     shapes = fem.segment_p2_values(rule.seg_points)        # (ns, 3)
     ww = mesh.boundary_lengths()[:, None] * rule.seg_weights[None, :] * avals
     s = np.einsum("bs,si,sj->bij", ww, shapes, shapes)     # (nb, 3, 3)
@@ -176,9 +177,12 @@ def load_samples(fe, data):
         F = fem.eval_field(data.F, flat, (len(flat), 2, 2), "matrix")
         F = F.reshape(*pts.shape[:2], 2, 2)
     if data.h is not None:
-        mesh = fe.mesh
-        h = eval_boundary_field(data.h, fe.boundary_quad_coords(rule),
-                                mesh.boundary_normals, mesh.boundary_tangents)
+        ns, mesh = len(rule.seg_points), fe.mesh
+        bpts = fe.boundary_quad_coords(rule).reshape(-1, 2)
+        n, t = (np.repeat(frame, ns, axis=0)
+                for frame in (mesh.boundary_normals, mesh.boundary_tangents))
+        h = np.einsum("ka,ka->k", fem.eval_field(
+            data.h, bpts, bpts.shape, "boundary", n, t), t).reshape(-1, ns)
     return rule, f, F, h
 
 

@@ -67,7 +67,7 @@ def _alpha_descriptor(alpha):
         return "callable"
     if isinstance(alpha, dict):
         return "per-marker"
-    return f"{float(alpha):.6g}"
+    return f"{float(alpha):.6g}" if np.ndim(alpha) == 0 else "per-point"
 
 
 def _smallest_eig(M, solve, shift, ncv, rank_one=None):

@@ -286,13 +286,13 @@ def boundary_identity_defect(u_field, mesh):
     n = circle / radius
     t = np.column_stack([-n[:, 1], n[:, 0]])
 
-    vals = np.asarray(u_field.value(circle), dtype=float)
+    vals = fem.eval_field(u_field.value, circle, circle.shape, "vector")
     normal_part = np.abs(np.einsum("ka,ka->k", vals, n)).max()
     if normal_part > 1e-10:
         raise InvalidArgument(
             f"field is not tangent to the circle: max |u.n| = {normal_part:.3e}")
 
-    g = np.asarray(u_field.grad(circle), dtype=float)
+    g = fem.eval_field(u_field.grad, circle, (len(circle), 2, 2), "matrix")
     d = 0.5 * (g + np.swapaxes(g, 1, 2))
     tdn = np.einsum("ka,kab,kb->k", n, d, t)
     curl = g[:, 1, 0] - g[:, 0, 1]

@@ -272,6 +272,18 @@ class TestExperimentCommand:
         assert code == 2
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("kind", ["mms", "ns_mms", "spectra_suite",
+                                      "ns_limits"])
+    def test_data_selector_of_a_fixed_data_study_exits_2(self, capsys,
+                                                         tmp_path, kind):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[domain]\nlevels = 2,3,4\n[data]\nselector = asymmetric\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        code, _, err = run(capsys, "experiment", kind, "--config", str(ini))
+        assert code == 2
+        assert "config error" in err and "takes no data selector" in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "experiment", "mms", "--seed", "3")
         assert code == 2

@@ -400,6 +400,17 @@ def test_kinds_without_an_amplitude_refuse_one(kind):
         ExperimentConfig(kind=kind, amplitude=2.0).validate()
 
 
+@pytest.mark.parametrize("kind", ["mms", "ns_mms", "spectra_suite",
+                                  "ns_limits"])
+def test_kinds_that_read_no_data_refuse_a_selector(kind):
+    # These studies fix their own data, so a selector would be ignored
+    # without a word.
+    ExperimentConfig(kind=kind).validate()
+    for selector in DATA_SELECTORS:
+        with pytest.raises(InvalidArgument, match="takes no data selector"):
+            ExperimentConfig(kind=kind, data=selector).validate()
+
+
 def test_compat_disk_honours_the_data_selector():
     # The asymmetric force, made compatible on each mesh: the pairing is
     # rounding, the velocity is not zero, and the circulation decays.

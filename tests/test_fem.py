@@ -217,6 +217,65 @@ class TestInterpolation:
         with pytest.raises(InvalidArgument, match=f"{kind} field has shape"):
             interpolate(fe, np.ones(3), space)
 
+    @pytest.mark.parametrize("space,kind", [("velocity", "vector"),
+                                            ("pressure", "scalar")])
+    @pytest.mark.parametrize("field", [
+        "abc", [[1.0], [1.0, 2.0]],
+        lambda p: np.full(p.shape, "x")], ids=["str", "ragged", "callable-str"])
+    def test_non_numeric_field_refused(self, space, kind, field):
+        fe = build_taylor_hood(make_unit_square(2))
+        with pytest.raises(InvalidArgument, match=f"{kind} field is not numeric"):
+            interpolate(fe, field, space)
+
+
+class TestFieldReader:
+    """``fem.eval_field``, the one reader of user-supplied fields."""
+
+    def test_callable_receives_the_extra_arguments(self):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+        vals = fem.eval_field(lambda p, a, b: p * a + b, pts, pts.shape,
+                              "boundary", 2.0, 1.0)
+        assert np.array_equal(vals, 2.0 * pts + 1.0)
+
+    def test_constant_of_a_broadcastable_shape_refused(self):
+        # Only a scalar, the per-point shape or the full shape is a field.
+        with pytest.raises(InvalidArgument, match=r"shape \(1, 2\)"):
+            fem.eval_field(np.ones((1, 2)), np.zeros((3, 2)), (3, 2), "vector")
+
+
+class TestClosedFormShapes:
+    """The error norms read their closed forms through ``eval_field``, so a
+    closed form of the wrong shape is refused instead of reshaped."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        mms = stokes_mms()
+        return mms, solve_stokes(make_unit_square(4), mms["data"])
+
+    @pytest.mark.parametrize("exact,grad,kind", [
+        (lambda u: lambda p: u.value(p).T, lambda u: u.grad, "vector"),
+        (lambda u: u.value, lambda u: lambda p: u.grad(p).reshape(-1, 4),
+         "matrix"),
+        (lambda u: lambda p: np.full(p.shape, "x"), lambda u: u.grad,
+         "vector field is not numeric")],
+        ids=["value-transposed", "grad-flat", "value-str"])
+    def test_velocity_error_refuses_a_malformed_closed_form(
+            self, solved, exact, grad, kind):
+        mms, sol = solved
+        _, h1 = velocity_error_h1(sol.fe, sol.u, mms["u"].value, mms["u"].grad)
+        assert 0.5 < h1 < 0.6
+        with pytest.raises(InvalidArgument, match=kind):
+            velocity_error_h1(sol.fe, sol.u, exact(mms["u"]), grad(mms["u"]))
+
+    @pytest.mark.parametrize("exact", [
+        lambda p: np.cos(p[:, :1]), lambda p: np.cos(p).T],
+        ids=["column", "transposed"])
+    def test_pressure_error_refuses_a_malformed_closed_form(self, solved,
+                                                             exact):
+        _, sol = solved
+        with pytest.raises(InvalidArgument, match="scalar field has shape"):
+            pressure_error_l2(sol.fe, sol.p, exact)
+
 
 class TestNorms:
     def test_linear_field_closed_forms(self):

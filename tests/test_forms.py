@@ -164,6 +164,30 @@ class TestFriction:
         with pytest.raises(InvalidArgument, match="finite"):
             forms.assemble_friction(fe, alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [
+        "abc", None, [1.0], np.array([1.0, 2.0]),
+        {1: "abc", 2: 1.0, 3: 1.0, 4: 1.0},
+        lambda p: np.full(len(p), "x")],
+        ids=["str", "none", "list", "array", "marker-str", "callable-str"])
+    def test_malformed_alpha_refused(self, alpha):
+        # Read by fem.eval_field: never a TypeError or a numpy ValueError.
+        m, fe = build(2)
+        with pytest.raises(InvalidArgument, match="friction"):
+            forms.assemble_friction(fe, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0, -0.0, np.float64(0.0)])
+    def test_every_scalar_zero_is_empty(self, alpha):
+        m, fe = build()
+        assert forms.assemble_friction(fe, alpha=alpha).nnz == 0
+
+    def test_zero_callable_keeps_its_pattern(self):
+        # Only a scalar zero skips the pattern; a field that samples to
+        # zero stores its (zero) entries, as a positive one would.
+        m, fe = build()
+        zero = forms.assemble_friction(fe, alpha=lambda p: np.zeros(len(p)))
+        one = forms.assemble_friction(fe, alpha=1.0)
+        assert zero.nnz == one.nnz and not zero.data.any()
+
 
 class TestDivergenceAndLoad:
     def test_divergence_sign_and_value(self):
@@ -234,6 +258,29 @@ class TestDivergenceAndLoad:
         rm = np.cos(np.pi / m_edges)
         assert float(ell @ beta) == pytest.approx(3.0 * m_edges * L * rm,
                                                   rel=1e-13)
+
+    @pytest.mark.parametrize("data,kind", [
+        (ProblemData(f="abc"), "vector"),
+        (ProblemData(f=lambda p: np.full(p.shape, "x")), "vector"),
+        (ProblemData(F=[["a", "b"], ["c", "d"]]), "matrix"),
+        (ProblemData(h=np.ones((3, 1))), "boundary"),
+        (ProblemData(h=np.ones((1, 2))), "boundary"),
+        (ProblemData(h="abc"), "boundary"),
+        (ProblemData(h=lambda p, n, t: np.full(p.shape, "x")), "boundary")],
+        ids=["f-str", "f-callable-str", "F-str", "h-column", "h-row",
+             "h-str", "h-callable-str"])
+    def test_malformed_field_refused(self, data, kind):
+        m, fe = build(2)
+        with pytest.raises(InvalidArgument, match=f"{kind} field"):
+            forms.assemble_load(fe, data)
+
+    def test_error_inside_a_boundary_field_propagates(self):
+        def h(p, nrm, tan):
+            raise ValueError("user's own error")
+
+        m, fe = build(2)
+        with pytest.raises(ValueError, match="user's own error"):
+            forms.assemble_load(fe, ProblemData(h=h))
 
     def test_non_finite_load_rejected(self):
         m, fe = build(2)

@@ -114,6 +114,25 @@ class TestManufactured:
             solve_stokes(make_unit_square(4),
                          ProblemData(f=np.ones(3), alpha=1.0))
 
+    @pytest.mark.parametrize("data,match", [
+        (ProblemData(f=np.array([1.0, 0.0]), alpha=np.array([1.0, 2.0])),
+         "friction field has shape"),
+        (ProblemData(f=np.array([1.0, 0.0]), alpha=[1.0]),
+         "friction field has shape"),
+        (ProblemData(f=np.array([1.0, 0.0]), alpha=None),
+         "no friction value"),
+        (ProblemData(f=np.array([1.0, 0.0]), alpha="abc"),
+         "friction field is not numeric"),
+        (ProblemData(h=np.ones((3, 1)), alpha=1.0), "boundary field has shape"),
+        (ProblemData(h=np.ones((1, 2)), alpha=1.0), "boundary field has shape")],
+        ids=["alpha-array", "alpha-list", "alpha-none", "alpha-str",
+             "h-column", "h-row"])
+    def test_malformed_data_refused(self, data, match):
+        # Each field goes through fem.eval_field's one shape rule: never a
+        # TypeError, a numpy ValueError or a silent broadcast.
+        with pytest.raises(InvalidArgument, match=match):
+            solve_stokes(make_unit_square(4), data)
+
 
 class TestLargeFriction:
     @pytest.mark.parametrize("alpha", [1e11, 1e12])
@@ -404,6 +423,25 @@ class TestFrictionMonotonicity:
     def test_energy_rhs_does_not_grow(self, sweep):
         _assert_nonincreasing(*sweep, "energy_rhs")
 
+    @settings(max_examples=25, deadline=None)
+    @given(_monotone_sweeps())
+    def test_distance_to_the_clamped_solution_does_not_grow(self, sweep):
+        # The alpha -> oo limit approached monotonically: |u_alpha - u_D|_H1,
+        # u_D the clamped (no-slip) solution of the same data.  Each solve
+        # is accurate relative to its whole solution, so the slack is 1e-9
+        # of the larger of the distance and u_D's size |u_D|_H1 + |p_D|_L2:
+        # at alpha = 10^7.5 twice on square 4 the distance 1.8e-7 rose by
+        # 1.1e-8 relative, rounding of 2e-15 against |u_D|_H1 = 0.014.
+        mesh, data, alphas = sweep
+        fe = build_taylor_hood(mesh)
+        H1 = assemble_velocity_h1(fe)
+        ref = solve_stokes(mesh, data, plan=build_dirichlet_plan(fe))
+        size = ref.diagnostics["h1_norm"] + ref.diagnostics["pressure_l2"]
+        sols, _ = solve_friction_sweep(mesh, data, alphas)
+        gaps = [velocity_h1_norm(H1, sol.u - ref.u) for sol in sols]
+        for low, high in zip(gaps, gaps[1:]):
+            assert high <= low + 1e-9 * max(low, size), (alphas, gaps, size)
+
 
 @st.composite
 def _ordered_frictions(draw):
@@ -663,6 +701,14 @@ class TestBoundaryIdentity:
             lambda p: np.tile(np.eye(2), (np.asarray(p).shape[0], 1, 1)))
         with pytest.raises(InvalidArgument, match="tangent"):
             boundary_identity_defect(radial, make_disk(1))
+
+    @pytest.mark.parametrize("field,kind", [
+        (lambda b: ClosedFormField(lambda p: b.value(p).T, b.grad), "vector"),
+        (lambda b: ClosedFormField(b.value, lambda p: b.grad(p).reshape(-1, 4)),
+         "matrix")], ids=["value-transposed", "grad-flat"])
+    def test_rejects_a_closed_form_of_the_wrong_shape(self, field, kind):
+        with pytest.raises(InvalidArgument, match=f"{kind} field has shape"):
+            boundary_identity_defect(field(rigid_rotation()), make_disk(1))
 
 
 def test_energy_gate_refuses_nan():
